@@ -246,6 +246,14 @@ let stage_ms_of_session session =
       })
     (Pipeline.last_run session)
 
+let stage_mb_of_session session =
+  List.filter_map
+    (fun (r : Pipeline.stage_record) ->
+      if r.Pipeline.sr_status = Pipeline.Ran then
+        Some (Pipeline.stage_name r.Pipeline.sr_stage, r.Pipeline.sr_alloc_mb)
+      else None)
+    (Pipeline.last_run session)
+
 let cache_counters (snap : Metrics.snapshot) =
   List.filter
     (fun (name, _) ->
@@ -337,6 +345,7 @@ let cmd_compile =
               ~fingerprint:(Cal_cache.fingerprint s.Spec.sp_device)
               ~recipe:(Style.label recipe)
               ~stages:(stage_ms_of_session session)
+              ~stage_mb:(stage_mb_of_session session)
               ~results:[ Core.Flow.result_to_json r ]
               ~cache:(cache_counters snap)
               ~metrics:(Metrics.to_json snap) ~cmd:"compile"
@@ -453,6 +462,7 @@ let cmd_profile =
         ~fingerprint:(Cal_cache.fingerprint s.Spec.sp_device)
         ~recipe:(Style.label (recipe_of recipe))
         ~stages:(stage_ms_of_session session)
+        ~stage_mb:(stage_mb_of_session session)
         ~results:[ Core.Flow.result_to_json r ]
         ~cache:(cache_counters snap)
         ~metrics:(Metrics.to_json snap) ~cmd:"profile" ~label:s.Spec.sp_name ()
@@ -645,6 +655,7 @@ let cmd_cc =
                ~fingerprint:(Cal_cache.fingerprint device)
                ~recipe:(Style.label recipe)
                ~stages:(stage_ms_of_session session)
+               ~stage_mb:(stage_mb_of_session session)
                ~results:[ Core.Flow.result_to_json r ]
                ~cache:(cache_counters snap)
                ~metrics:(Metrics.to_json snap) ~cmd:"cc" ~label ()));

@@ -144,6 +144,7 @@ type stage_record = {
   sr_stage : stage;
   sr_status : status;
   sr_ms : float;
+  sr_alloc_mb : float;
 }
 
 type compiled = {
@@ -219,8 +220,19 @@ let of_kernel ?target_mhz ~device kernel =
 
 (* ---------------- stage execution machinery ---------------- *)
 
-let record t stage status ms =
-  t.ss_last <- { sr_stage = stage; sr_status = status; sr_ms = ms } :: t.ss_last
+(* Bytes this domain has allocated so far. [Gc.allocated_bytes] folds the
+   minor heap in only at each minor collection, so a stage that fits in
+   the minor heap could read as 0 and the next stage would be billed for
+   it; [Gc.minor_words] is exact, and direct major allocations are
+   counted as they happen (promotions cancel out of [major - promoted]). *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+let record ?(mb = 0.) t stage status ms =
+  t.ss_last <-
+    { sr_stage = stage; sr_status = status; sr_ms = ms; sr_alloc_mb = mb }
+    :: t.ss_last
 
 (* Run one stage body: telemetry span + run counters around it, stray
    [Invalid_argument]/[Failure] from deep inside the pass promoted to a
@@ -235,15 +247,18 @@ let exec t ~recipe stage f =
   in
   let body () =
     let t0 = Clock.now_ns () in
+    let a0 = allocated_bytes () in
     match f () with
     | v ->
       count ();
       let ms = Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0) in
-      record t stage Ran ms;
-      Log.debug
-        ~attrs:
-          [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
-        "stage %s: %.1f ms" name ms;
+      let mb = (allocated_bytes () -. a0) /. 1e6 in
+      record ~mb t stage Ran ms;
+      if Log.would_log Log.Debug then
+        Log.debug
+          ~attrs:
+            [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
+          "stage %s: %.1f ms, %.1f MB allocated" name ms mb;
       v
     | exception e ->
       count ();
@@ -273,12 +288,16 @@ let exec t ~recipe stage f =
 
 let cached t stage =
   Metrics.incr "pipeline.cache_hits";
-  Log.debug
-    ~attrs:
-      [
-        ("stage", Json.Str (stage_name stage)); ("design", Json.Str t.ss_name);
-      ]
-    "stage %s: cache hit" (stage_name stage);
+  (* guarded: the attribute list and format closures would otherwise be
+     built on every cache hit only to be dropped below the threshold *)
+  if Log.would_log Log.Debug then
+    Log.debug
+      ~attrs:
+        [
+          ("stage", Json.Str (stage_name stage));
+          ("design", Json.Str t.ss_name);
+        ]
+      "stage %s: cache hit" (stage_name stage);
   record t stage Cached 0.
 
 (* ---------------- cached upstream artifacts ---------------- *)
@@ -557,7 +576,8 @@ let last_run t =
     (fun s ->
       match List.find_opt (fun r -> r.sr_stage = s) recorded with
       | Some r -> r
-      | None -> { sr_stage = s; sr_status = Skipped; sr_ms = 0. })
+      | None ->
+        { sr_stage = s; sr_status = Skipped; sr_ms = 0.; sr_alloc_mb = 0. })
     stages
 
 let diagnostics t = List.rev t.ss_diags
@@ -576,6 +596,7 @@ let explain t =
           ("stage", Table.Left);
           ("status", Table.Left);
           ("time", Table.Right);
+          ("alloc", Table.Right);
           ("what", Table.Left);
         ]
   in
@@ -587,6 +608,8 @@ let explain t =
           status_label r.sr_status;
           (if r.sr_status = Ran || r.sr_status = Failed then
              Printf.sprintf "%.1f ms" r.sr_ms
+           else "-");
+          (if r.sr_status = Ran then Printf.sprintf "%.1f MB" r.sr_alloc_mb
            else "-");
           describe r.sr_stage;
         ])

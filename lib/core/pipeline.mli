@@ -181,6 +181,9 @@ type stage_record = {
   sr_stage : stage;
   sr_status : status;
   sr_ms : float;  (** wall-clock of the stage body; 0 unless [Ran] *)
+  sr_alloc_mb : float;
+      (** MB the stage body allocated on the running domain (exact minor
+          words plus direct major allocation); 0 unless [Ran] *)
 }
 
 val status_label : status -> string
@@ -193,7 +196,7 @@ val last_run : session -> stage_record list
     reported [Skipped]. *)
 
 val explain : session -> string
-(** Per-stage table of the last run (status + timing) followed by any
+(** Per-stage table of the last run (status, time, allocation) followed by any
     diagnostics collected — the payload of [hlsbc compile --explain]. *)
 
 val diagnostics : session -> Diag.t list

@@ -46,7 +46,7 @@ let label r =
     | Skid { min_area = false } -> "skid"
   in
   let y = match r.sync with Sync_naive -> "naive" | Sync_pruned -> "pruned" in
-  Printf.sprintf "%s/%s/%s" s p y
+  s ^ "/" ^ p ^ "/" ^ y
 
 let to_string r =
   match List.find_opt (fun (_, r') -> r' = r) named with

@@ -143,6 +143,10 @@ let consumers t v =
   check_node t v;
   List.sort_uniq compare (consumer_table t).(v)
 
+let reads t v =
+  check_node t v;
+  (consumer_table t).(v)
+
 let broadcast_factor t v =
   check_node t v;
   List.length (consumer_table t).(v)

@@ -70,6 +70,11 @@ val fifo : t -> int -> fifo
 val consumers : t -> node -> node list
 (** Nodes that read this node's value (deduplicated, ascending). *)
 
+val reads : t -> node -> node list
+(** Nodes that read this node's value, one entry per argument slot that
+    reads it, ascending (a node reading the value twice appears twice, in
+    a row): {!consumers} with multiplicity. Cached; no allocation. *)
+
 val broadcast_factor : t -> node -> int
 (** Number of argument slots in which this node's value is read — the "how
     many times a variable is read by later instructions" count of §4.1.

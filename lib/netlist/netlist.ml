@@ -65,7 +65,10 @@ let check_cell t c =
 
 let add_net t ?(cls = Data) ~name ~driver ~sinks ~width () =
   check_cell t driver;
-  List.iter (check_cell t) sinks;
+  let sinks = Array.of_list sinks in
+  for k = 0 to Array.length sinks - 1 do
+    check_cell t sinks.(k)
+  done;
   if width < 1 then invalid_arg "Netlist.add_net: width < 1";
   (match (Vec.get t.cells driver).c_kind with
   | Port_out -> invalid_arg "Netlist.add_net: output port cannot drive"
@@ -74,7 +77,7 @@ let add_net t ?(cls = Data) ~name ~driver ~sinks ~width () =
     {
       n_name = name;
       n_driver = driver;
-      n_sinks = Array.of_list sinks;
+      n_sinks = sinks;
       n_width = width;
       n_class = cls;
     }

@@ -19,6 +19,7 @@ type run = {
   r_jobs : int;
   r_cores : int;
   r_stages : stage_ms list;
+  r_stage_mb : (string * float) list;
   r_results : Json.t list;
   r_cache : (string * int) list;
   r_metrics : Json.t option;
@@ -100,7 +101,8 @@ let fresh_id ~cmd time_s =
     (Unix.getpid () land 0xffff)
 
 let make ?git_rev:(rev = git_rev ()) ?device ?fingerprint ?recipe
-    ?(stages = []) ?(results = []) ?(cache = []) ?metrics ~cmd ~label () =
+    ?(stages = []) ?(stage_mb = []) ?(results = []) ?(cache = []) ?metrics ~cmd
+    ~label () =
   let time_s = Unix.gettimeofday () in
   {
     r_id = fresh_id ~cmd time_s;
@@ -114,6 +116,7 @@ let make ?git_rev:(rev = git_rev ()) ?device ?fingerprint ?recipe
     r_jobs = Pool.default_jobs ();
     r_cores = Domain.recommended_domain_count ();
     r_stages = stages;
+    r_stage_mb = stage_mb;
     r_results = results;
     r_cache = List.sort (fun (a, _) (b, _) -> compare a b) cache;
     r_metrics = metrics;
@@ -159,11 +162,15 @@ let to_json r =
           (List.map
              (fun st ->
                Json.Obj
-                 [
-                   ("stage", Json.Str st.st_name);
-                   ("status", Json.Str st.st_status);
-                   ("ms", Json.Float st.st_ms);
-                 ])
+                 ([
+                    ("stage", Json.Str st.st_name);
+                    ("status", Json.Str st.st_status);
+                    ("ms", Json.Float st.st_ms);
+                  ]
+                 @
+                 match List.assoc_opt st.st_name r.r_stage_mb with
+                 | Some mb -> [ ("mb", Json.Float mb) ]
+                 | None -> []))
              r.r_stages) );
       ("results", Json.List r.r_results);
       ("cache", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.r_cache));
@@ -180,7 +187,7 @@ let int_member name j =
 let of_json j =
   match Json.member "schema" j with
   | Some (Json.Str s) when s = schema ->
-    let stages =
+    let entries =
       match Json.member "stages" j with
       | Some (Json.List items) ->
         List.filter_map
@@ -188,15 +195,19 @@ let of_json j =
             match (str_member "stage" it, str_member "status" it) with
             | Some name, Some status ->
               Some
-                {
-                  st_name = name;
-                  st_status = status;
-                  st_ms = Option.value ~default:0. (member_float "ms" it);
-                }
+                ( {
+                    st_name = name;
+                    st_status = status;
+                    st_ms = Option.value ~default:0. (member_float "ms" it);
+                  },
+                  (* absent from records written before stages carried it *)
+                  Option.map (fun mb -> (name, mb)) (member_float "mb" it) )
             | _ -> None)
           items
       | _ -> []
     in
+    let stages = List.map fst entries in
+    let stage_mb = List.filter_map snd entries in
     let results =
       match Json.member "results" j with
       | Some (Json.List items) -> items
@@ -223,6 +234,7 @@ let of_json j =
         r_jobs = Option.value ~default:1 (int_member "jobs" j);
         r_cores = Option.value ~default:1 (int_member "cores" j);
         r_stages = stages;
+        r_stage_mb = stage_mb;
         r_results = results;
         r_cache = cache;
         r_metrics =

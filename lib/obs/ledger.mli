@@ -52,6 +52,10 @@ type run = {
   r_jobs : int;
   r_cores : int;
   r_stages : stage_ms list;
+  r_stage_mb : (string * float) list;
+      (** MB allocated per ran stage, by stage name; written as each
+          stage entry's optional ["mb"] field, [] for records written
+          before it existed *)
   r_results : Json.t list;  (** per-design compile result records *)
   r_cache : (string * int) list;  (** cache hit/miss counters, sorted *)
   r_metrics : Json.t option;  (** full [Metrics.to_json] snapshot *)
@@ -63,6 +67,7 @@ val make :
   ?fingerprint:string ->
   ?recipe:string ->
   ?stages:stage_ms list ->
+  ?stage_mb:(string * float) list ->
   ?results:Json.t list ->
   ?cache:(string * int) list ->
   ?metrics:Json.t ->

@@ -103,6 +103,7 @@ let stage_table (run : Ledger.run) =
           ("status", Table.Left);
           ("time", Table.Right);
           ("share", Table.Right);
+          ("alloc", Table.Right);
         ]
   in
   List.iter
@@ -117,10 +118,13 @@ let stage_table (run : Ledger.run) =
           (if st.Ledger.st_status = "ran" && total > 0. then
              Printf.sprintf "%.0f%%" (100. *. st.Ledger.st_ms /. total)
            else "-");
+          (match List.assoc_opt st.Ledger.st_name run.Ledger.r_stage_mb with
+          | Some mb -> Printf.sprintf "%.1f MB" mb
+          | None -> "-");
         ])
     run.Ledger.r_stages;
   Table.add_rule tbl;
-  Table.add_row tbl [ "total"; ""; ms_str total; "" ];
+  Table.add_row tbl [ "total"; ""; ms_str total; ""; "" ];
   Table.render tbl
 
 let report ?(top = 12) (run : Ledger.run) =

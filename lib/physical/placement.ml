@@ -18,26 +18,39 @@ type t = {
   max_y : float;
 }
 
-(* Hilbert curve index -> (x, y) on a 2^k x 2^k grid; contiguous index runs
-   map to compact 2D regions, giving nets over contiguously-placed cells a
-   bounding box of half-perimeter Theta(sqrt(area)). *)
-let hilbert_d2xy n d =
-  let rot s x y rx ry =
-    if ry = 0 then
-      if rx = 1 then (s - 1 - y, s - 1 - x) else (y, x)
-    else (x, y)
-  in
-  let rec go s x y t =
-    if s >= n then (x, y)
-    else begin
-      let rx = 1 land (t / 2) in
-      let ry = 1 land (t lxor rx) in
-      let x, y = rot s x y rx ry in
-      let x = x + (s * rx) and y = y + (s * ry) in
-      go (2 * s) x y (t / 4)
-    end
-  in
-  go 1 0 0 d
+(* Hilbert curve index -> point on a side x side grid (side a power of
+   two), packed as [x * side + y]; contiguous index runs map to compact 2D
+   regions, giving nets over contiguously-placed cells a bounding box of
+   half-perimeter Theta(sqrt(area)). One loop over the levels with the
+   coordinates in local ints, so nothing is allocated: the packer takes a
+   point per slice of every cell. *)
+let hilbert_point side d =
+  let x = ref 0 and y = ref 0 and t = ref d and s = ref 1 in
+  while !s < side do
+    let rx = 1 land (!t / 2) in
+    let ry = 1 land (!t lxor rx) in
+    if ry = 0 then begin
+      let x0 = !x in
+      if rx = 1 then begin
+        x := !s - 1 - !y;
+        y := !s - 1 - x0
+      end
+      else begin
+        x := !y;
+        y := x0
+      end
+    end;
+    x := !x + (!s * rx);
+    y := !y + (!s * ry);
+    t := !t / 4;
+    s := 2 * !s
+  done;
+  (!x * side) + !y
+
+(* [Stdlib.max] on floats compares through the polymorphic primitive, so
+   its arguments are boxed; this one stays on unboxed floats. Same result
+   for every non-NaN input. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
 let cdiv a b = (a + b - 1) / b
 
@@ -71,10 +84,12 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let capacity = d.cols * d.rows in
   let cursor = ref 0 in
   let used = ref 0 in
-  let max_x = ref 0. and max_y = ref 0. in
-  (* Take the next on-die Hilbert point. *)
+  let max_x = ref 0 and max_y = ref 0 in
+  (* Take the next on-die Hilbert point (packed). A loop, not a local
+     recursive function: that would be a closure allocated per slice. *)
   let next_point () =
-    let rec go () =
+    let p = ref (-1) in
+    while !p < 0 do
       if !cursor >= total_points then
         Diag.fail
           ~entity:(Diag.Design (Netlist.name nl))
@@ -82,13 +97,14 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
           "design does not fit device %s: packing curve exhausted after %d \
            of %d on-die slices (%d x %d grid)"
           d.name !used capacity d.cols d.rows;
-      let x, y = hilbert_d2xy side !cursor in
+      let q = hilbert_point side !cursor in
       incr cursor;
-      if x < d.cols && y < d.rows then (x, y) else go ()
-    in
-    go ()
+      if q / side < d.cols && q mod side < d.rows then p := q
+    done;
+    !p
   in
-  Netlist.iter_cells nl (fun id c ->
+  for id = 0 to n - 1 do
+    let c = Netlist.cell nl id in
     let s = footprint d c in
     fp.(id) <- s;
     if !used + s > capacity then
@@ -99,16 +115,20 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
          %d of %d remain (%d x %d slice grid)"
         d.name c.Netlist.c_name s (capacity - !used) capacity d.cols d.rows;
     used := !used + s;
-    let sx = ref 0. and sy = ref 0. in
+    (* Integer coordinate sums: exact, so the centroid is bit-identical to
+       summing the coordinates as floats one by one. *)
+    let sx = ref 0 and sy = ref 0 in
     for _ = 1 to s do
-      let x, y = next_point () in
-      sx := !sx +. float_of_int x;
-      sy := !sy +. float_of_int y;
-      max_x := Stdlib.max !max_x (float_of_int x);
-      max_y := Stdlib.max !max_y (float_of_int y)
+      let p = next_point () in
+      let x = p / side and y = p mod side in
+      sx := !sx + x;
+      sy := !sy + y;
+      if x > !max_x then max_x := x;
+      if y > !max_y then max_y := y
     done;
-    xs.(id) <- !sx /. float_of_int s;
-    ys.(id) <- !sy /. float_of_int s);
+    xs.(id) <- float_of_int !sx /. float_of_int s;
+    ys.(id) <- float_of_int !sy /. float_of_int s
+  done;
   (* Register refinement: a timing-driven placer (and phys_opt) pulls light
      register cells to the midpoint between their driver and their sinks, so
      a chain of pipeline registers inserted across a long route settles at
@@ -117,20 +137,25 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
      the packer put them.
 
      Fanin/fanout are CSR int arrays (offsets + flat adjacency), built in
-     two passes, so the 24 sweeps below never touch a list. The slices are
-     filled back to front while iterating nets forward: a forward read of a
-     slice then visits edges in reverse net-encounter order, which is
-     exactly the order the previous cons-list representation folded in —
-     float summation order, and hence every position, stays bit-identical. *)
+     two plain-loop passes over the nets (no closure per net), so the 24
+     sweeps below never touch a list. The slices are filled back to front
+     while iterating nets forward: a forward read of a slice then visits
+     edges in reverse net-encounter order, which is exactly the order the
+     previous cons-list representation folded in — float summation order,
+     and hence every position, stays bit-identical. *)
+  let n_nets = Netlist.n_nets nl in
   let indeg = Array.make n 0 in
   let outdeg = Array.make n 0 in
-  Netlist.iter_nets nl (fun _ net ->
+  for nid = 0 to n_nets - 1 do
+    let net = Netlist.net nl nid in
     let drv = net.Netlist.n_driver in
-    Array.iter
-      (fun s ->
-        indeg.(s) <- indeg.(s) + 1;
-        outdeg.(drv) <- outdeg.(drv) + 1)
-      net.Netlist.n_sinks);
+    let sinks = net.Netlist.n_sinks in
+    for k = 0 to Array.length sinks - 1 do
+      let s = sinks.(k) in
+      indeg.(s) <- indeg.(s) + 1;
+      outdeg.(drv) <- outdeg.(drv) + 1
+    done
+  done;
   let in_off = Array.make (n + 1) 0 in
   let out_off = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -141,15 +166,18 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
   let out_adj = Array.make out_off.(n) 0 in
   let in_pos = Array.init n (fun i -> in_off.(i + 1)) in
   let out_pos = Array.init n (fun i -> out_off.(i + 1)) in
-  Netlist.iter_nets nl (fun _ net ->
+  for nid = 0 to n_nets - 1 do
+    let net = Netlist.net nl nid in
     let drv = net.Netlist.n_driver in
-    Array.iter
-      (fun s ->
-        in_pos.(s) <- in_pos.(s) - 1;
-        in_adj.(in_pos.(s)) <- drv;
-        out_pos.(drv) <- out_pos.(drv) - 1;
-        out_adj.(out_pos.(drv)) <- s)
-      net.Netlist.n_sinks);
+    let sinks = net.Netlist.n_sinks in
+    for k = 0 to Array.length sinks - 1 do
+      let s = sinks.(k) in
+      in_pos.(s) <- in_pos.(s) - 1;
+      in_adj.(in_pos.(s)) <- drv;
+      out_pos.(drv) <- out_pos.(drv) - 1;
+      out_adj.(out_pos.(drv)) <- s
+    done
+  done;
   let cls = Bytes.make n (Char.chr cls_fixed) in
   for id = 0 to n - 1 do
     if fp.(id) <= 64 && indeg.(id) > 0 && outdeg.(id) > 0 then
@@ -165,84 +193,93 @@ let place ?(max_sweeps = 24) ?(early_exit = true) (d : Device.t) nl =
      rules interleave until positions settle. *)
   let slot_x = Array.copy xs in
   let slot_y = Array.copy ys in
-  (* Sweeps alternate direction (Gauss-Seidel): long register chains relax
-     to evenly spaced waypoints in a few passes instead of diffusing one
-     hop per pass. *)
-  let relax delta id =
-    let c = Char.code (Bytes.unsafe_get cls id) in
-    if c <> cls_fixed then begin
-      let isx = ref 0. and isy = ref 0. in
-      for k = in_off.(id) to in_off.(id + 1) - 1 do
-        let p = in_adj.(k) in
-        isx := !isx +. xs.(p);
-        isy := !isy +. ys.(p)
-      done;
-      let osx = ref 0. and osy = ref 0. in
-      for k = out_off.(id) to out_off.(id + 1) - 1 do
-        let p = out_adj.(k) in
-        osx := !osx +. xs.(p);
-        osy := !osy +. ys.(p)
-      done;
-      let ki = float_of_int indeg.(id) and ko = float_of_int outdeg.(id) in
-      let ix = !isx /. ki and iy = !isy /. ki in
-      let ox = !osx /. ko and oy = !osy /. ko in
-      if c = cls_movable then begin
-        (* star-model equilibrium: the register settles at the pin-count
-           weighted centroid, so a fanout-tree leaf sits with its sinks
-           while a 1-in/1-out chain register sits at the midpoint *)
-        (* sqrt weighting: balances hop delays along pipelined chains while
-           still pulling multi-sink leaves toward their cluster *)
-        let wi = sqrt ki in
-        let wo = sqrt ko in
-        let nx = ((ix *. wi) +. (ox *. wo)) /. (wi +. wo)
-        and ny = ((iy *. wi) +. (oy *. wo)) /. (wi +. wo) in
-        delta :=
-          Stdlib.max !delta
-            (Stdlib.max (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
-        xs.(id) <- nx;
-        ys.(id) <- ny
-      end
-      else begin
-        (* Combinational cells hug their *sources* (gather trees sit at
-           their operand clusters; downstream registers carry the
-           distance), with a slight slot anchor so packed structure is not
-           fully erased. *)
-        let cx = (0.65 *. ix) +. (0.35 *. ox)
-        and cy = (0.65 *. iy) +. (0.35 *. oy) in
-        let nx = (0.1 *. slot_x.(id)) +. (0.9 *. cx)
-        and ny = (0.1 *. slot_y.(id)) +. (0.9 *. cy) in
-        delta :=
-          Stdlib.max !delta
-            (Stdlib.max (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
-        xs.(id) <- nx;
-        ys.(id) <- ny
-      end
-    end
-  in
   (* Convergence gate: a sweep whose largest position update is exactly
      zero is a fixpoint — every later sweep would recompute the same
      centroids from the same positions — so stopping there is provably
      equivalent to running all [max_sweeps]. Designs that settle early
      (the characterize skeletons settle in 2-3 sweeps; 100k-cell bigmul
      netlists in far fewer than 24) skip the dead sweeps; designs that
-     never settle run exactly the historical count, bit-identically. *)
+     never settle run exactly the historical count, bit-identically.
+
+     Sweeps alternate direction (Gauss-Seidel): long register chains relax
+     to evenly spaced waypoints in a few passes instead of diffusing one
+     hop per pass. The cell update is written inline in the sweep loop, so
+     [delta] is a local float that never escapes into a closure and the
+     sweeps allocate nothing per cell. *)
   let sweep = ref 1 in
   let settled = ref false in
   while !sweep <= max_sweeps && not !settled do
     let delta = ref 0. in
-    if !sweep mod 2 = 1 then
-      for id = 0 to n - 1 do
-        relax delta id
-      done
-    else
-      for id = n - 1 downto 0 do
-        relax delta id
-      done;
+    let forward = !sweep mod 2 = 1 in
+    for i = 0 to n - 1 do
+      let id = if forward then i else n - 1 - i in
+      let c = Char.code (Bytes.unsafe_get cls id) in
+      if c <> cls_fixed then begin
+        let isx = ref 0. and isy = ref 0. in
+        for k = in_off.(id) to in_off.(id + 1) - 1 do
+          let p = in_adj.(k) in
+          isx := !isx +. xs.(p);
+          isy := !isy +. ys.(p)
+        done;
+        let osx = ref 0. and osy = ref 0. in
+        for k = out_off.(id) to out_off.(id + 1) - 1 do
+          let p = out_adj.(k) in
+          osx := !osx +. xs.(p);
+          osy := !osy +. ys.(p)
+        done;
+        let ki = float_of_int indeg.(id) and ko = float_of_int outdeg.(id) in
+        let ix = !isx /. ki and iy = !isy /. ki in
+        let ox = !osx /. ko and oy = !osy /. ko in
+        if c = cls_movable then begin
+          (* star-model equilibrium: the register settles at the pin-count
+             weighted centroid, so a fanout-tree leaf sits with its sinks
+             while a 1-in/1-out chain register sits at the midpoint *)
+          (* sqrt weighting: balances hop delays along pipelined chains
+             while still pulling multi-sink leaves toward their cluster *)
+          let wi = sqrt ki in
+          let wo = sqrt ko in
+          let nx = ((ix *. wi) +. (ox *. wo)) /. (wi +. wo)
+          and ny = ((iy *. wi) +. (oy *. wo)) /. (wi +. wo) in
+          delta :=
+            fmax !delta
+              (fmax (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
+          xs.(id) <- nx;
+          ys.(id) <- ny
+        end
+        else begin
+          (* Combinational cells hug their *sources* (gather trees sit at
+             their operand clusters; downstream registers carry the
+             distance), with a slight slot anchor so packed structure is
+             not fully erased. *)
+          let cx = (0.65 *. ix) +. (0.35 *. ox)
+          and cy = (0.65 *. iy) +. (0.35 *. oy) in
+          let nx = (0.1 *. slot_x.(id)) +. (0.9 *. cx)
+          and ny = (0.1 *. slot_y.(id)) +. (0.9 *. cy) in
+          delta :=
+            fmax !delta
+              (fmax (abs_float (nx -. xs.(id))) (abs_float (ny -. ys.(id))));
+          xs.(id) <- nx;
+          ys.(id) <- ny
+        end
+      end
+    done;
     if early_exit && !delta = 0. then settled := true;
     incr sweep
   done;
-  let sq = Array.map (fun s -> sqrt (float_of_int s)) fp in
-  { netlist = nl; xs; ys; fp; sq; max_x = !max_x; max_y = !max_y }
+  (* a loop, not [Array.map]: a float returned by a callback is boxed *)
+  let sq = Array.make n 0. in
+  for id = 0 to n - 1 do
+    sq.(id) <- sqrt (float_of_int fp.(id))
+  done;
+  {
+    netlist = nl;
+    xs;
+    ys;
+    fp;
+    sq;
+    max_x = float_of_int !max_x;
+    max_y = float_of_int !max_y;
+  }
 
 let position t c = (t.xs.(c), t.ys.(c))
 let footprint_slices t c = t.fp.(c)
@@ -251,66 +288,53 @@ let set_position t c (x, y) =
   t.xs.(c) <- x;
   t.ys.(c) <- y
 
-(* The wire-length queries below iterate the sinks array directly instead
-   of materializing [driver :: Array.to_list sinks]; they run once per net
-   per STA, so the per-call cons lists were pure GC pressure. Fold orders
-   are unchanged (driver first, then sinks in array order). *)
+let netlist t = t.netlist
+let xs t = t.xs
+let ys t = t.ys
+let radii t = t.sq
+
+(* The wire-length queries walk the sinks array with plain loops and
+   unboxed float accumulators (driver first, then sinks in array order). *)
 
 let bbox t nid =
   let net = Netlist.net t.netlist nid in
   let drv = net.Netlist.n_driver in
+  let sinks = net.Netlist.n_sinks in
   let xmin = ref t.xs.(drv) and ymin = ref t.ys.(drv) in
   let xmax = ref t.xs.(drv) and ymax = ref t.ys.(drv) in
-  Array.iter
-    (fun s ->
-      let x = t.xs.(s) and y = t.ys.(s) in
-      if x < !xmin then xmin := x;
-      if y < !ymin then ymin := y;
-      if x > !xmax then xmax := x;
-      if y > !ymax then ymax := y)
-    net.Netlist.n_sinks;
+  for k = 0 to Array.length sinks - 1 do
+    let s = sinks.(k) in
+    let x = t.xs.(s) and y = t.ys.(s) in
+    if x < !xmin then xmin := x;
+    if y < !ymin then ymin := y;
+    if x > !xmax then xmax := x;
+    if y > !ymax then ymax := y
+  done;
   (!xmin, !ymin, !xmax, !ymax)
 
 let hpwl t nid =
   let net = Netlist.net t.netlist nid in
-  let n_sinks = Array.length net.Netlist.n_sinks in
+  let drv = net.Netlist.n_driver in
+  let sinks = net.Netlist.n_sinks in
+  let n_sinks = Array.length sinks in
   if n_sinks = 0 then 0.
   else begin
-    let xmin, ymin, xmax, ymax = bbox t nid in
+    let xmin = ref t.xs.(drv) and ymin = ref t.ys.(drv) in
+    let xmax = ref t.xs.(drv) and ymax = ref t.ys.(drv) in
     (* Large cells are regions, not points: extend the bbox by the radius of
        the cells at its corners so a net feeding one huge macro still pays
        for crossing it. *)
-    let spread =
-      Array.fold_left
-        (fun acc s -> acc +. t.sq.(s))
-        t.sq.(net.Netlist.n_driver)
-        net.Netlist.n_sinks
-      /. float_of_int (1 + n_sinks)
-    in
-    xmax -. xmin +. (ymax -. ymin) +. spread
-  end
-
-let star_length t nid =
-  let net = Netlist.net t.netlist nid in
-  if Array.length net.Netlist.n_sinks = 0 then 0.
-  else begin
-    let drv = net.Netlist.n_driver in
-    let dx = t.xs.(drv) and dy = t.ys.(drv) in
-    let far =
-      Array.fold_left
-        (fun acc s ->
-          Stdlib.max acc
-            (abs_float (t.xs.(s) -. dx) +. abs_float (t.ys.(s) -. dy)))
-        0. net.Netlist.n_sinks
-    in
-    let spread =
-      Array.fold_left
-        (fun acc s -> acc +. t.sq.(s))
-        t.sq.(drv)
-        net.Netlist.n_sinks
-      /. float_of_int (1 + Array.length net.Netlist.n_sinks)
-    in
-    far +. spread
+    let spread = ref t.sq.(drv) in
+    for k = 0 to n_sinks - 1 do
+      let s = sinks.(k) in
+      let x = t.xs.(s) and y = t.ys.(s) in
+      if x < !xmin then xmin := x;
+      if y < !ymin then ymin := y;
+      if x > !xmax then xmax := x;
+      if y > !ymax then ymax := y;
+      spread := !spread +. t.sq.(s)
+    done;
+    !xmax -. !xmin +. (!ymax -. !ymin) +. (!spread /. float_of_int (1 + n_sinks))
   end
 
 let overlap_free _t = true
@@ -318,4 +342,4 @@ let overlap_free _t = true
    explicit invariant entry point for tests that re-verify via max_extent
    and used-slot accounting. *)
 
-let max_extent t = max t.max_x t.max_y
+let max_extent t = fmax t.max_x t.max_y

@@ -19,6 +19,11 @@
 
 type t
 
+val hilbert_point : int -> int -> int
+(** [hilbert_point side d] is the [d]-th point of the Hilbert curve over a
+    [side] x [side] grid ([side] a power of two), packed as
+    [x * side + y]. The packer walks this curve one slice at a time. *)
+
 val place :
   ?max_sweeps:int ->
   ?early_exit:bool ->
@@ -34,8 +39,22 @@ val place :
     ["place"], entity [Design]) naming the device and the capacity
     constraint if the design does not fit. *)
 
+val netlist : t -> Hlsb_netlist.Netlist.t
+(** The netlist this placement places. *)
+
 val position : t -> int -> float * float
 (** Centroid of a placed cell in slice-grid units. *)
+
+val xs : t -> float array
+val ys : t -> float array
+(** The placement's own x and y centroid arrays, indexed by cell: the
+    allocation-free way to read every position (STA snapshots them).
+    Read-only by contract; move cells with {!set_position}. *)
+
+val radii : t -> float array
+(** Per-cell spread radius, [sqrt (footprint_slices t c)]: a large cell
+    is a region, and the wire-length model adds the mean radius of a
+    net's pins. Read-only. *)
 
 val set_position : t -> int -> float * float -> unit
 (** Move one cell (ECO-style nudge between STA queries). The placement's
@@ -49,13 +68,6 @@ val footprint_slices : t -> int -> int
 val hpwl : t -> int -> float
 (** Half-perimeter wire length of a net's bounding box (driver + sinks), in
     slice-grid units. Dangling nets have hpwl 0. *)
-
-val star_length : t -> int -> float
-(** Source-to-farthest-sink Manhattan distance plus the sink cells' spread
-    radius — the length of the longest branch of the routed net, which is
-    what its delay follows. For two-pin nets this equals the Manhattan
-    distance; for star-shaped nets it avoids the bounding-box
-    overestimate. *)
 
 val bbox : t -> int -> float * float * float * float
 (** (xmin, ymin, xmax, ymax) of a net. *)

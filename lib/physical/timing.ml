@@ -30,7 +30,17 @@ type report = {
    to [jitter *. z], and [0. +. x] / [x *. 1.] are float identities). *)
 let golden = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+(* [Stdlib.max] compares floats through the polymorphic primitive, boxing
+   both arguments; this one stays on unboxed floats (same result for every
+   non-NaN input). Placement keeps its own copy: a call across modules is
+   not inlined, and its float result would be boxed. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
+(* The per-net delay helpers below are [@inline]: a float returned from a
+   call is boxed, and these run once per net per fill. Inlined into the
+   fill loops of [prepare] and [refresh], a net's delay goes from the
+   placement's coordinate arrays into [cx_ndelay] without allocating. *)
+let[@inline] mix64 z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
   in
@@ -39,29 +49,50 @@ let mix64 z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let unit_float state =
+let[@inline] unit_float state =
   Int64.to_float (Int64.shift_right_logical (mix64 state) 11)
   /. 9007199254740992. (* 2^53 *)
 
-let jitter_factor ~jitter ~seed nid =
+let[@inline] jitter_factor ~jitter ~seed nid =
   if jitter <= 0. then 1.
   else begin
     let s1 = Int64.add (Int64.of_int ((seed * 1_000_003) + nid)) golden in
     let s2 = Int64.add s1 golden in
-    let u1 = max 1e-12 (unit_float s1) in
+    let u1 = fmax 1e-12 (unit_float s1) in
     let u2 = unit_float s2 in
     let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
-    max 0.5 (1. +. (jitter *. z))
+    fmax 0.5 (1. +. (jitter *. z))
   end
 
-let net_delay (d : Device.t) nl pl ~jitter ~seed nid =
+(* Source-to-farthest-sink Manhattan distance plus the mean spread radius
+   of the net's pins (driver first, then sinks in array order). *)
+let[@inline] star_length pl nid =
+  let net = Netlist.net (Placement.netlist pl) nid in
+  let sinks = net.Netlist.n_sinks in
+  let n_sinks = Array.length sinks in
+  if n_sinks = 0 then 0.
+  else begin
+    let xs = Placement.xs pl and ys = Placement.ys pl in
+    let radii = Placement.radii pl in
+    let drv = net.Netlist.n_driver in
+    let dx = xs.(drv) and dy = ys.(drv) in
+    let far = ref 0. and spread = ref radii.(drv) in
+    for k = 0 to n_sinks - 1 do
+      let s = sinks.(k) in
+      far := fmax !far (abs_float (xs.(s) -. dx) +. abs_float (ys.(s) -. dy));
+      spread := !spread +. radii.(s)
+    done;
+    !far +. (!spread /. float_of_int (1 + n_sinks))
+  end
+
+let[@inline] net_delay (d : Device.t) nl pl ~jitter ~seed nid =
   let f = Netlist.fanout nl nid in
   if f = 0 then 0.
   else begin
     let base =
       d.t_net_base
       +. (d.t_net_fanout *. log (1. +. float_of_int f))
-      +. (d.t_net_dist *. Placement.star_length pl nid)
+      +. (d.t_net_dist *. star_length pl nid)
     in
     base *. jitter_factor ~jitter ~seed nid
   end
@@ -70,7 +101,13 @@ let default_seed nl = Hashtbl.hash (Netlist.name nl) land 0xFFFFFF
 
 (* ---- incremental STA context ---- *)
 
-type incidence = { inc_off : int array; inc_adj : int array }
+type incidence = {
+  inc_off : int array;
+  inc_adj : int array;
+  inc_dirty : Bytes.t;
+      (* per-net scratch flag for [refresh], cleared as each net is
+         re-timed so the next call starts clean *)
+}
 
 type ctx = {
   cx_device : Device.t;
@@ -97,13 +134,18 @@ let prepare ?(jitter = 0.02) ?seed (d : Device.t) nl pl =
      flat int arrays avoid allocating a (pred, net) cons per arc.  Slices are
      filled back-to-front while iterating nets forward, reproducing the
      reverse-insertion order the old per-cell lists had, so tie-breaking on
-     equal arrivals is unchanged. *)
-  let ndelay = Array.make (Netlist.n_nets nl) 0. in
+     equal arrivals is unchanged. The passes over the nets are plain loops:
+     an [iter_nets] callback would allocate a closure per net. *)
+  let n_nets = Netlist.n_nets nl in
+  let ndelay = Array.make n_nets 0. in
   let off = Array.make (n + 1) 0 in
-  Netlist.iter_nets nl (fun _ net ->
-    Array.iter
-      (fun s -> off.(s + 1) <- off.(s + 1) + 1)
-      net.Netlist.n_sinks);
+  for nid = 0 to n_nets - 1 do
+    let sinks = (Netlist.net nl nid).Netlist.n_sinks in
+    for k = 0 to Array.length sinks - 1 do
+      let s = sinks.(k) in
+      off.(s + 1) <- off.(s + 1) + 1
+    done
+  done;
   for c = 0 to n - 1 do
     off.(c + 1) <- off.(c + 1) + off.(c)
   done;
@@ -111,22 +153,20 @@ let prepare ?(jitter = 0.02) ?seed (d : Device.t) nl pl =
   let arc_pred = Array.make n_arcs 0 in
   let arc_net = Array.make n_arcs 0 in
   let cursor = Array.init n (fun c -> off.(c + 1)) in
-  Netlist.iter_nets nl (fun nid net ->
+  for nid = 0 to n_nets - 1 do
+    let net = Netlist.net nl nid in
     ndelay.(nid) <- net_delay d nl pl ~jitter ~seed nid;
-    Array.iter
-      (fun s ->
-        let k = cursor.(s) - 1 in
-        cursor.(s) <- k;
-        arc_pred.(k) <- net.Netlist.n_driver;
-        arc_net.(k) <- nid)
-      net.Netlist.n_sinks);
-  let snap_x = Array.make n 0. in
-  let snap_y = Array.make n 0. in
-  for c = 0 to n - 1 do
-    let x, y = Placement.position pl c in
-    snap_x.(c) <- x;
-    snap_y.(c) <- y
+    let sinks = net.Netlist.n_sinks in
+    for j = 0 to Array.length sinks - 1 do
+      let s = sinks.(j) in
+      let k = cursor.(s) - 1 in
+      cursor.(s) <- k;
+      arc_pred.(k) <- net.Netlist.n_driver;
+      arc_net.(k) <- nid
+    done
   done;
+  let snap_x = Array.copy (Placement.xs pl) in
+  let snap_y = Array.copy (Placement.ys pl) in
   {
     cx_device = d;
     cx_netlist = nl;
@@ -167,7 +207,9 @@ let incidence ctx =
     Netlist.iter_nets nl (fun nid net ->
       put net.Netlist.n_driver nid;
       Array.iter (fun s -> put s nid) net.Netlist.n_sinks);
-    let i = { inc_off; inc_adj } in
+    let i =
+      { inc_off; inc_adj; inc_dirty = Bytes.make (Netlist.n_nets nl) '\000' }
+    in
     ctx.cx_inc <- Some i;
     i
 
@@ -176,15 +218,18 @@ let refresh ctx =
      the last fill: a net's delay depends solely on its own endpoints'
      positions (fanout and jitter are placement-independent), so every
      untouched net keeps a bit-identical delay and a full [prepare] after
-     the same moves would produce exactly this array. *)
+     the same moves would produce exactly this array. Positions are read
+     straight from the placement's arrays, and the dirty flags live in the
+     context: a refresh allocates nothing. *)
   let nl = ctx.cx_netlist in
   let n = Netlist.n_cells nl in
   let n_nets = Array.length ctx.cx_ndelay in
   let inc = incidence ctx in
-  let dirty = Bytes.make n_nets '\000' in
+  let dirty = inc.inc_dirty in
+  let xs = Placement.xs ctx.cx_pl and ys = Placement.ys ctx.cx_pl in
   let moved = ref 0 in
   for c = 0 to n - 1 do
-    let x, y = Placement.position ctx.cx_pl c in
+    let x = xs.(c) and y = ys.(c) in
     if x <> ctx.cx_snap_x.(c) || y <> ctx.cx_snap_y.(c) then begin
       incr moved;
       ctx.cx_snap_x.(c) <- x;
@@ -198,6 +243,7 @@ let refresh ctx =
   if !moved > 0 then
     for nid = 0 to n_nets - 1 do
       if Bytes.unsafe_get dirty nid = '\001' then begin
+        Bytes.unsafe_set dirty nid '\000';
         ctx.cx_ndelay.(nid) <-
           net_delay ctx.cx_device nl ctx.cx_pl ~jitter:ctx.cx_jitter
             ~seed:ctx.cx_seed nid;
@@ -306,14 +352,11 @@ let analyze_ctx ctx =
       done
     end
   in
-  let input_arrival pred nid =
-    eval pred;
-    arrival.(pred) +. ndelay.(nid)
-  in
   (* Path endpoints: arrival at the *inputs* of sequential cells and output
      ports, plus setup. *)
   let worst = ref 0. in
-  let worst_end = ref None in
+  (* endpoint cell, its predecessor and the net between; -1 while none *)
+  let worst_end = ref (-1) and worst_pred = ref (-1) and worst_via = ref (-1) in
   (* I/O port paths are externally constrained (registered at the shell
      boundary), so like a real STA setup they are not clock endpoints. *)
   for c = 0 to n - 1 do
@@ -321,22 +364,26 @@ let analyze_ctx ctx =
     match cell.Netlist.c_kind with
     | Netlist.Seq | Netlist.Mem ->
       for k = off.(c) to off.(c + 1) - 1 do
-        let t = input_arrival arc_pred.(k) arc_net.(k) +. d.t_setup in
+        let p = arc_pred.(k) and nid = arc_net.(k) in
+        eval p;
+        let t = arrival.(p) +. ndelay.(nid) +. d.t_setup in
         if t > !worst then begin
           worst := t;
-          worst_end := Some (c, arc_pred.(k), arc_net.(k))
+          worst_end := c;
+          worst_pred := p;
+          worst_via := nid
         end
       done
     | Netlist.Comb | Netlist.Port_in | Netlist.Port_out ->
       (* still force evaluation so cycles are reported deterministically *)
       eval c
   done;
-  let critical = max !worst (d.t_clk_q +. d.t_setup) in
+  let critical = fmax !worst (d.t_clk_q +. d.t_setup) in
   (* Reconstruct the critical path by walking best_pred back. *)
   let path =
-    match !worst_end with
-    | None -> []
-    | Some (endpoint, pred, via) ->
+    if !worst_end < 0 then []
+    else begin
+      let endpoint = !worst_end and pred = !worst_pred and via = !worst_via in
       let rec back c via acc =
         let step =
           {
@@ -353,11 +400,12 @@ let analyze_ctx ctx =
         {
           ps_cell = endpoint;
           ps_cell_name = (Netlist.cell nl endpoint).Netlist.c_name;
-          ps_arrival = input_arrival pred via;
+          ps_arrival = arrival.(pred) +. ndelay.(via);
           ps_via_net = Some via;
         }
       in
       back pred (Some via) [ end_step ]
+    end
   in
   (* Worst net along the path. *)
   let worst_net, worst_fo, worst_cls =

@@ -35,6 +35,14 @@ val jitter_factor : jitter:float -> seed:int -> int -> float
     [Rng.create ((seed * 1_000_003) + nid)] — exposed so tests can pin
     the equivalence. *)
 
+val star_length : Placement.t -> int -> float
+(** Source-to-farthest-sink Manhattan distance plus the pins' mean spread
+    radius ({!Placement.radii}) — the length of the longest branch of the
+    routed net, which is what its delay follows. For two-pin nets between
+    one-slice cells this is the Manhattan distance plus 1; for star-shaped
+    nets it avoids the bounding-box overestimate. Dangling nets have
+    length 0. *)
+
 val net_delay :
   Hlsb_device.Device.t ->
   Hlsb_netlist.Netlist.t ->
@@ -65,8 +73,9 @@ val analyze :
     placements that barely change between queries. A {!ctx} caches the
     fanin CSR and the per-net delay array for one (netlist, placement)
     pair; {!refresh} re-times only the nets whose endpoint cells moved
-    (via {!Placement.set_position}) since the last fill, and
-    {!analyze_ctx} runs the arrival propagation over the cached arrays.
+    (via {!Placement.set_position}) since the last fill — without
+    allocating: the per-net delay is computed on unboxed floats straight
+    from {!Placement.xs}/{!Placement.ys} — and {!analyze_ctx} runs the arrival propagation over the cached arrays.
     Reports are bit-identical to a fresh {!analyze} of the same
     positions. *)
 

@@ -37,7 +37,12 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   let kname = k.Kernel.name in
   let n = Dag.n_nodes dag in
   let entries = sched.Schedule.entries in
-  let cname fmt = Printf.ksprintf (fun s -> kname ^ "." ^ s) fmt in
+  (* Cell and net names are built by plain concatenation: formatting a
+     name with [Printf] costs more than building the cell it names.
+     [cname s] is [<kernel>.<s>]. *)
+  let prefix = kname ^ "." in
+  let cname s = prefix ^ s in
+  let istr = string_of_int in
   let slots = Array.make n { s_result = None; s_arg_sinks = [] } in
   let seq_cells = ref [] in
   let start_sinks = ref [] in
@@ -49,20 +54,21 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
     add_seq c;
     c
   in
-  (* Register chain of given length after a producer cell. *)
+  (* Register chain of given length after a producer cell; returns its
+     last register (the producer itself for length 0). *)
   let chain_after producer name width length =
-    let rec go prev i acc =
-      if i > length then List.rev acc
+    let rec go prev i =
+      if i > length then prev
       else begin
-        let r = new_reg (Printf.sprintf "%s_p%d" name i) width in
+        let r = new_reg (name ^ "_p" ^ istr i) width in
         ignore
           (Netlist.add_net nl
-             ~name:(Printf.sprintf "%s_pn%d" name i)
+             ~name:(name ^ "_pn" ^ istr i)
              ~driver:prev ~sinks:[ r ] ~width ());
-        go r (i + 1) (r :: acc)
+        go r (i + 1)
       end
     in
-    go producer 1 []
+    go producer 1
   in
   (* Memory banks are shared across all loads/stores of one buffer. Under
      the broadcast-aware flow, banks spanning many units get their read
@@ -85,7 +91,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           let read_pipeline = fanout_trees && units > 16 in
           [|
             Structs.add_membank d nl ~read_pipeline
-              ~name:(cname "%s" buf.Dag.b_name)
+              ~name:(cname buf.Dag.b_name)
               ~width:(Dtype.width buf.Dag.b_dtype)
               ~depth:buf.Dag.b_depth ();
           |]
@@ -102,7 +108,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
             in
             let read_pipeline = fanout_trees && units > 16 in
             Structs.add_membank d nl ~read_pipeline
-              ~name:(cname "%s_bk%d" buf.Dag.b_name bk)
+              ~name:(cname (buf.Dag.b_name ^ "_bk" ^ istr bk))
               ~width:(Dtype.width buf.Dag.b_dtype)
               ~depth ())
       in
@@ -122,7 +128,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         (* Data inputs are loaded by the datapath as it runs; only control
            interfaces (FIFO reads, the iteration counter) listen to the
            controller's start. *)
-        let c = new_reg (cname "in_%s" name) w in
+        let c = new_reg (cname ("in_" ^ name)) w in
         { s_result = Some c; s_arg_sinks = [] }
       | Dag.Operation o ->
         (* Internal stages: intrinsic pipelining + §4.1 split stages. The
@@ -133,7 +139,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let internal = e.Schedule.e_latency - e.Schedule.e_bcast_levels in
         let c =
           Netlist.add_cell nl
-            ~name:(cname "%s_%d" (Op.to_string o) v)
+            ~name:(cname (Op.to_string o ^ "_" ^ istr v))
             ~kind:Netlist.Comb
             ~delay:(Oplib.logic_delay d o dt /. float_of_int (internal + 1))
             ~res:(Oplib.resources o dt)
@@ -141,9 +147,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let result =
           if internal > 0 then begin
             registers_added := !registers_added + e.Schedule.e_added_pipe;
-            match List.rev (chain_after c (cname "r%d" v) w internal) with
-            | last :: _ -> last
-            | [] -> c
+            chain_after c (cname ("r" ^ istr v)) w internal
           end
           else c
         in
@@ -158,20 +162,20 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         in
         let mux =
           Netlist.add_cell nl
-            ~name:(cname "ld%d_bmux" v)
+            ~name:(cname ("ld" ^ istr v ^ "_bmux"))
             ~kind:Netlist.Comb ~delay:0.05 ~res:(Macro.logic w)
         in
         Array.iteri
           (fun bk mb ->
             ignore
               (Netlist.add_net nl
-                 ~name:(cname "ld%d_bk%d" v bk)
+                 ~name:(cname ("ld" ^ istr v ^ "_bk" ^ istr bk))
                  ~driver:mb.Structs.mb_read_out ~sinks:[ mux ] ~width:w ()))
           mbs;
-        let out = new_reg (cname "ld%d_q" v) w in
+        let out = new_reg (cname ("ld" ^ istr v ^ "_q")) w in
         ignore
           (Netlist.add_net nl
-             ~name:(cname "ld%d_d" v)
+             ~name:(cname ("ld" ^ istr v ^ "_d"))
              ~driver:mux ~sinks:[ out ] ~width:w ());
         let extra =
           max 0 (e.Schedule.e_added_pipe - mbs.(0).Structs.mb_read_latency)
@@ -179,9 +183,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let result =
           if extra > 0 then begin
             registers_added := !registers_added + extra;
-            match List.rev (chain_after out (cname "ld%d" v) w extra) with
-            | last :: _ -> last
-            | [] -> out
+            chain_after out (cname ("ld" ^ istr v)) w extra
           end
           else out
         in
@@ -190,10 +192,10 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let mb = (get_banks b).(0) in
         let units = Array.to_list mb.Structs.mb_units in
         (* Synchronous read: one output register, plus any added stages. *)
-        let out = new_reg (cname "ld%d_q" v) w in
+        let out = new_reg (cname ("ld" ^ istr v ^ "_q")) w in
         ignore
           (Netlist.add_net nl
-             ~name:(cname "ld%d_d" v)
+             ~name:(cname ("ld" ^ istr v ^ "_d"))
              ~driver:mb.Structs.mb_read_out ~sinks:[ out ] ~width:w ());
         let added = e.Schedule.e_added_pipe in
         if fanout_trees && added > 0 && mb.Structs.mb_n_units > 16 then begin
@@ -202,12 +204,12 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           registers_added := !registers_added + added;
           let addr_root =
             Netlist.add_cell nl
-              ~name:(cname "ld%d_addr" v)
+              ~name:(cname ("ld" ^ istr v ^ "_addr"))
               ~kind:Netlist.Comb ~delay:0.05 ~res:(Macro.logic 16)
           in
           ignore
             (Structs.add_fanout_tree nl
-               ~name:(cname "ld%d_atree" v)
+               ~name:(cname ("ld" ^ istr v ^ "_atree"))
                ~driver:addr_root ~sinks:units ~width:16 ~levels:added
                ~leaf_fanout:16);
           { s_result = Some out; s_arg_sinks = [ addr_root ] }
@@ -219,9 +221,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           let result =
             if extra > 0 then begin
               registers_added := !registers_added + extra;
-              match List.rev (chain_after out (cname "ld%d" v) w extra) with
-              | last :: _ -> last
-              | [] -> out
+              chain_after out (cname ("ld" ^ istr v)) w extra
             end
             else out
           in
@@ -233,7 +233,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let mbs = get_banks b in
         let bundle_w = w + 16 in
         let st =
-          Netlist.add_cell nl ~name:(cname "st%d" v) ~kind:Netlist.Comb
+          Netlist.add_cell nl ~name:(cname ("st" ^ istr v)) ~kind:Netlist.Comb
             ~delay:0.10 ~res:(Macro.logic bundle_w)
         in
         Array.iteri
@@ -246,7 +246,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
             in
             ignore
               (Netlist.add_net nl ~cls
-                 ~name:(cname "st%d_w%d" v bk)
+                 ~name:(cname ("st" ^ istr v ^ "_w" ^ istr bk))
                  ~driver:st ~sinks:units ~width:bundle_w ()))
           mbs;
         { s_result = None; s_arg_sinks = [ st ] }
@@ -256,7 +256,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
            Fig. 4 (a raw mid-chain net under the baseline flow). *)
         let bundle_w = w + 16 in
         let st =
-          Netlist.add_cell nl ~name:(cname "st%d" v) ~kind:Netlist.Comb
+          Netlist.add_cell nl ~name:(cname ("st" ^ istr v)) ~kind:Netlist.Comb
             ~delay:0.10 ~res:(Macro.logic bundle_w)
         in
         let units = Array.to_list mb.Structs.mb_units in
@@ -264,7 +264,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         if fanout_trees && added > 0 && mb.Structs.mb_n_units > 1 then begin
           registers_added := !registers_added + added;
           ignore
-            (Structs.add_fanout_tree nl ~name:(cname "st%d_tree" v) ~driver:st
+            (Structs.add_fanout_tree nl ~name:(cname ("st" ^ istr v ^ "_tree")) ~driver:st
                ~sinks:units ~width:bundle_w ~levels:added ~leaf_fanout:16)
         end
         else begin
@@ -274,7 +274,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
           in
           ignore
             (Netlist.add_net nl ~cls
-               ~name:(cname "st%d_w" v)
+               ~name:(cname ("st" ^ istr v ^ "_w"))
                ~driver:st ~sinks:units ~width:bundle_w ())
         end;
         { s_result = None; s_arg_sinks = [ st ] }
@@ -282,7 +282,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let fd = Dag.fifo dag f in
         let c =
           Netlist.add_cell nl
-            ~name:(cname "fifo_%s" fd.Dag.f_name)
+            ~name:(cname ("fifo_" ^ fd.Dag.f_name))
             ~kind:Netlist.Seq ~delay:0.2
             ~res:(Macro.fifo ~width:w ~depth:fd.Dag.f_depth)
         in
@@ -297,7 +297,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let fd = Dag.fifo dag f in
         let c =
           Netlist.add_cell nl
-            ~name:(cname "wr_%s" fd.Dag.f_name)
+            ~name:(cname ("wr_" ^ fd.Dag.f_name))
             ~kind:Netlist.Seq ~delay:0.2
             ~res:(Netlist.add_res (Macro.logic w) (Macro.register w))
         in
@@ -306,42 +306,38 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         { s_result = None; s_arg_sinks = [ c ] }
       | Dag.Output name ->
         let c =
-          Netlist.add_cell nl ~name:(cname "out_%s" name)
+          Netlist.add_cell nl ~name:(cname ("out_" ^ name))
             ~kind:Netlist.Port_out ~delay:0. ~res:Netlist.zero_res
         in
         { s_result = None; s_arg_sinks = [ c ] }
     in
     slots.(v) <- slot);
   (* ---- pass 2: nets (args -> consumers), with cross-cycle registers ---- *)
-  (* Boundary register chains, per producer node, extended lazily. *)
-  let chains : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let chain_reg v j =
-    (* register holding v's value j cycles after its result cycle *)
-    let table =
-      match Hashtbl.find_opt chains v with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 4 in
-        Hashtbl.add chains v t;
-        t
-    in
-    let rec get j =
-      match Hashtbl.find_opt table j with
-      | Some c -> c
-      | None ->
-        let w = Dtype.width (Dag.dtype dag v) in
+  (* Boundary register chains, per producer node, extended lazily:
+     [chains.(v).(j - 1)] holds v's value j cycles after its result cycle.
+     [vname] is the node's name stem, [<kernel>.v<id>]. *)
+  let chains = Array.make n [||] in
+  let chain_reg v vname j =
+    let have = chains.(v) in
+    if j <= Array.length have then have.(j - 1)
+    else begin
+      let w = Dtype.width (Dag.dtype dag v) in
+      let regs = Array.make j 0 in
+      Array.blit have 0 regs 0 (Array.length have);
+      for i = Array.length have + 1 to j do
         let prev =
-          if j = 1 then Option.get slots.(v).s_result else get (j - 1)
+          if i = 1 then Option.get slots.(v).s_result else regs.(i - 2)
         in
-        let r = new_reg (cname "v%d_s%d" v j) w in
+        let r = new_reg (vname ^ "_s" ^ istr i) w in
         ignore
           (Netlist.add_net nl
-             ~name:(cname "v%d_sn%d" v j)
+             ~name:(vname ^ "_sn" ^ istr i)
              ~driver:prev ~sinks:[ r ] ~width:w ());
-        Hashtbl.replace table j r;
-        r
-    in
-    get j
+        regs.(i - 1) <- r
+      done;
+      chains.(v) <- regs;
+      regs.(j - 1)
+    end
   in
   (* Cycle at which v's value leaves its internal pipeline; the remaining
      e_bcast_levels stages up to the scheduler's result cycle belong to the
@@ -349,34 +345,33 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   let internal_done_cycle v =
     Schedule.finish_cycle sched v - entries.(v).Schedule.e_bcast_levels
   in
-  (* Group each node's consumers by cycle distance. *)
+  (* Group each node's consumers by cycle distance [j]. A group's sinks
+     are, read by read in ascending consumer order, the consumer's argument
+     cells in reverse — a consumer reading the value twice contributes its
+     cells twice (multiplicity matters for fanout). *)
   Dag.iter dag (fun v ->
     match slots.(v).s_result with
     | None -> ()
     | Some rc ->
       let w = Dtype.width (Dag.dtype dag v) in
       let rcyc = internal_done_cycle v in
-      let groups = Hashtbl.create 4 in
-      List.iter
-        (fun u ->
-          match slots.(u).s_arg_sinks with
-          | [] -> ()
-          | ucells ->
-            (* one sink entry per read (multiplicity matters for fanout) *)
-            let reads =
-              List.length (List.filter (fun a -> a = v) (Dag.args dag u))
-            in
-            let j = max 0 (entries.(u).Schedule.e_cycle - rcyc) in
-            let cur = Option.value ~default:[] (Hashtbl.find_opt groups j) in
-            let repeated =
-              List.concat (List.init reads (fun _ -> ucells))
-            in
-            Hashtbl.replace groups j (repeated @ cur))
-        (Dag.consumers dag v);
-      let js = Hashtbl.fold (fun j _ acc -> j :: acc) groups [] in
+      let vname = cname ("v" ^ istr v) in
+      let reads =
+        List.filter_map
+          (fun u ->
+            match slots.(u).s_arg_sinks with
+            | [] -> None
+            | ucells -> Some (max 0 (entries.(u).Schedule.e_cycle - rcyc), ucells))
+          (Dag.reads dag v)
+      in
       List.iter
         (fun j ->
-          let sinks = List.rev (Hashtbl.find groups j) in
+          let sinks =
+            List.fold_right
+              (fun (j', ucells) acc ->
+                if j' = j then List.rev_append ucells acc else acc)
+              reads []
+          in
           let cls =
             if List.length sinks >= big_fanout then Netlist.Data_broadcast
             else Netlist.Data
@@ -386,23 +381,23 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
                baseline flow this is the raw mid-chain broadcast of §3.1. *)
             ignore
               (Netlist.add_net nl ~cls
-                 ~name:(cname "v%d_c0" v)
+                 ~name:(vname ^ "_c0")
                  ~driver:rc ~sinks ~width:w ())
           else if fanout_trees && List.length sinks > 16 then begin
             registers_added := !registers_added + j;
             ignore
               (Structs.add_fanout_tree nl
-                 ~name:(cname "v%d_ft%d" v j)
+                 ~name:(vname ^ "_ft" ^ istr j)
                  ~driver:rc ~sinks ~width:w ~levels:j ~leaf_fanout:8)
           end
           else begin
-            let reg = chain_reg v j in
+            let reg = chain_reg v vname j in
             ignore
               (Netlist.add_net nl ~cls
-                 ~name:(cname "v%d_c%d" v j)
+                 ~name:(vname ^ "_c" ^ istr j)
                  ~driver:reg ~sinks ~width:w ())
           end)
-        (List.sort compare js));
+        (List.sort_uniq Int.compare (List.map fst reads)));
   (* Iteration counter feeding the done flag: created before control
      generation so the stall net reaches it too. *)
   let counter = new_reg (cname "iter_cnt") 16 in
@@ -422,7 +417,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
       (fun (name, c, _) ->
         ignore
           (Netlist.add_net nl ~cls:Netlist.Ctrl_pipeline
-             ~name:(cname "full_%s" name)
+             ~name:(cname ("full_" ^ name))
              ~driver:c ~sinks:[ stall ] ~width:1 ()))
       !fifo_rd;
     let sinks = List.rev !seq_cells in
@@ -451,7 +446,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         let entries_total = depth_entries + ctrl_stages in
         let c =
           Netlist.add_cell nl
-            ~name:(cname "skid_%d" pos)
+            ~name:(cname ("skid_" ^ istr pos))
             ~kind:Netlist.Seq ~delay:0.2
             ~res:(Macro.fifo ~width ~depth:entries_total)
         in
@@ -465,7 +460,7 @@ let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
         in
         ignore
           (Netlist.add_net nl
-             ~name:(cname "skid_in_%d" pos)
+             ~name:(cname ("skid_in_" ^ istr pos))
              ~driver:src ~sinks:[ c ] ~width ()))
       plan.Skid.depths;
     (* Occupancy of the first buffer gates upstream reads, through a short

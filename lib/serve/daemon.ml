@@ -345,9 +345,17 @@ let serve_conn t conn =
         in
         match Protocol.write_frame conn (Protocol.response_to_json resp) with
         | Ok () -> ()
+        | Error msg when msg = Protocol.peer_closed ->
+          (* the client left before its answer: its loss, not the daemon's *)
+          Metrics.incr "serve.epipe";
+          Log.warn "hlsbd: client closed before its response (EPIPE)"
         | Error msg -> Log.warn "hlsbd: response write: %s" msg))
 
 let serve ?max_requests t ~socket =
+  (* A client that disconnects before its response is written would
+     otherwise kill the whole daemon with SIGPIPE; ignored, the write
+     fails with EPIPE and only that connection is lost. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let dir = Filename.dirname socket in
   if dir <> "" && dir <> "." then Atomic_file.mkdir_p dir;
   (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());

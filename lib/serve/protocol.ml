@@ -307,11 +307,14 @@ let write_all fd bytes =
    with Exit -> ());
   !off = len
 
+let peer_closed = "socket write: peer closed the connection (EPIPE)"
+
 let write_frame fd j =
   let line = Json.to_string ~minify:true j ^ "\n" in
   match write_all fd (Bytes.of_string line) with
   | true -> Ok ()
   | false -> Error "short write on socket"
+  | exception Unix.Unix_error (Unix.EPIPE, _, _) -> Error peer_closed
   | exception Unix.Unix_error (e, _, _) ->
     Error (Printf.sprintf "socket write: %s" (Unix.error_message e))
 

@@ -83,6 +83,10 @@ val response_of_json : Json.t -> (response, string) result
     (strings are RFC 8259-escaped), so lines frame documents exactly. *)
 
 val write_frame : Unix.file_descr -> Json.t -> (unit, string) result
+(** Fails with exactly {!peer_closed} when the peer has already closed
+    its end (EPIPE; the process must ignore SIGPIPE to see it). *)
+
+val peer_closed : string
 
 val read_frame : Unix.file_descr -> (Json.t, string) result
 (** Read up to the first ['\n'] (or EOF) and parse. Refuses frames over

@@ -219,6 +219,42 @@ let test_ledger_codec_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong schema accepted"
 
+(* Per-stage allocation rides in each stage entry as an optional "mb"
+   field: written when known, and absent from older records, which must
+   still parse. *)
+let test_ledger_stage_mb () =
+  let r = { (sample_run ()) with Ledger.r_stage_mb = [ ("schedule", 12.5) ] } in
+  let j = Ledger.to_json r in
+  (match Ledger.of_json j with
+  | Error e -> Alcotest.fail e
+  | Ok r' ->
+    Alcotest.(check bool) "mb round-trips" true
+      (r'.Ledger.r_stage_mb = [ ("schedule", 12.5) ]));
+  let strip_mb = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "stages", Json.List items ->
+               ( "stages",
+                 Json.List
+                   (List.map
+                      (function
+                        | Json.Obj f ->
+                          Json.Obj (List.filter (fun (k, _) -> k <> "mb") f)
+                        | other -> other)
+                      items) )
+             | kv -> kv)
+           fields)
+    | other -> other
+  in
+  match Ledger.of_json (strip_mb j) with
+  | Error e -> Alcotest.fail e
+  | Ok old ->
+    Alcotest.(check int) "stages still parse" 2
+      (List.length old.Ledger.r_stages);
+    Alcotest.(check bool) "no mb" true (old.Ledger.r_stage_mb = [])
+
 let tmp_ledger () =
   let path = Filename.temp_file "hlsb_ledger" ".jsonl" in
   Sys.remove path;
@@ -391,6 +427,7 @@ let suite =
     Alcotest.test_case "log spec parsing" `Quick test_log_parse_spec;
     Alcotest.test_case "ledger codec round-trip" `Quick
       test_ledger_codec_roundtrip;
+    Alcotest.test_case "ledger stage mb optional" `Quick test_ledger_stage_mb;
     Alcotest.test_case "ledger append/load" `Quick test_ledger_append_load;
     Alcotest.test_case "ledger concurrent writers" `Quick
       test_ledger_concurrent_append;

@@ -200,7 +200,7 @@ let test_wirelength_matches_list_reference () =
       Alcotest.(check (float 0.))
         (Printf.sprintf "star net %d" nid)
         (ref_star pl nl nid)
-        (Placement.star_length pl nid);
+        (Timing.star_length pl nid);
       let rx0, ry0, rx1, ry1 = ref_bbox pl nl nid in
       let x0, y0, x1, y1 = Placement.bbox pl nid in
       Alcotest.(check (list (float 0.)))
@@ -486,6 +486,114 @@ let test_incremental_sta_equivalence () =
   check_matches "after move";
   Alcotest.(check int) "second refresh is a no-op" 0 (Timing.refresh ctx)
 
+(* ---- mechanism pins: the tuple-free curve walk and allocation budgets ---- *)
+
+(* The Hilbert decode as it was written before the packer went tuple-free:
+   a tuple per level. Kept here only as the reference. *)
+let ref_hilbert_d2xy n d =
+  let rot s x y rx ry =
+    if ry = 0 then if rx = 1 then (s - 1 - y, s - 1 - x) else (y, x)
+    else (x, y)
+  in
+  let rec go s x y t =
+    if s >= n then (x, y)
+    else begin
+      let rx = 1 land (t / 2) in
+      let ry = 1 land (t lxor rx) in
+      let x, y = rot s x y rx ry in
+      go (2 * s) (x + (s * rx)) (y + (s * ry)) (t / 4)
+    end
+  in
+  go 1 0 0 d
+
+let test_hilbert_matches_tuple_reference () =
+  let check side d =
+    let x, y = ref_hilbert_d2xy side d in
+    let p = Placement.hilbert_point side d in
+    if p <> (x * side) + y then
+      Alcotest.failf "side %d, index %d: got (%d, %d), want (%d, %d)" side d
+        (p / side) (p mod side) x y
+  in
+  for k = 1 to 6 do
+    let side = 1 lsl k in
+    for d = 0 to (side * side) - 1 do
+      check side d
+    done
+  done;
+  (* the 512-side curve the packer walks on the paper's devices *)
+  let side = 512 in
+  let points = side * side in
+  for i = 0 to 4095 do
+    check side (i * 7919 mod points)
+  done;
+  check side (points - 1)
+
+(* A Table-1 netlist (LSTM Network, original recipe) to budget against. *)
+let suite_netlist () =
+  match Hlsb_designs.Suite.find "LSTM Network" with
+  | None -> Alcotest.fail "LSTM Network missing from the suite"
+  | Some spec ->
+    let r =
+      Core.Pipeline.run_exn (Core.Pipeline.of_spec spec)
+        ~recipe:Hlsb_ctrl.Style.original
+    in
+    (spec.Hlsb_designs.Spec.sp_device, r.Core.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist)
+
+(* Words allocated by [f] on this domain: exact minor words plus direct
+   major allocations (promotions cancel out of [major - promoted]). *)
+let words f =
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words (), major -. promoted)
+  in
+  let m0, j0 = total () in
+  let v = f () in
+  let m1, j1 = total () in
+  (v, m1 -. m0, j1 -. j0)
+
+let test_place_allocation_budget () =
+  let device, nl = suite_netlist () in
+  let n = float_of_int (Netlist.n_cells nl) in
+  let _, minor, major = words (fun () -> Placement.place device nl) in
+  (* The position, CSR and class arrays are ~15 words per cell; boxing or
+     tuples in the packer or the relax sweeps would show up as minor
+     words per cell per sweep. *)
+  if minor > n then
+    Alcotest.failf "place allocated %.1f minor words per cell (budget 1)"
+      (minor /. n);
+  if minor +. major > 40. *. n then
+    Alcotest.failf "place allocated %.1f words per cell (budget 40)"
+      ((minor +. major) /. n)
+
+let test_net_delay_allocation_free () =
+  let device, nl = suite_netlist () in
+  let pl = Placement.place device nl in
+  (* [prepare] allocates its arrays and one context record, nothing per
+     net: every net delay (star length, fanout, jitter) is computed on
+     unboxed floats *)
+  let m0 = Gc.minor_words () in
+  let ctx = Timing.prepare device nl pl in
+  let minor = Gc.minor_words () -. m0 in
+  if minor > 64. then
+    Alcotest.failf "prepare allocated %.0f minor words over %d nets" minor
+      (Netlist.n_nets nl);
+  (* the first refresh builds the cell->net incidence; later ones reuse it *)
+  ignore (Timing.refresh ctx);
+  let cells = Netlist.n_cells nl in
+  List.iter
+    (fun c ->
+      let x, y = Placement.position pl c in
+      Placement.set_position pl c (x +. 2.5, y +. 1.5))
+    [ 0; cells / 3; cells / 2; cells - 1 ];
+  (* [Gc.minor_words] is unboxed: reading it costs nothing, so any word
+     counted here was allocated by [refresh] *)
+  let m0 = Gc.minor_words () in
+  let recomputed = Timing.refresh ctx in
+  let minor = Gc.minor_words () -. m0 in
+  Alcotest.(check bool) "the moves dirtied some nets" true (recomputed > 0);
+  Alcotest.(check (float 0.)) "refresh re-times nets with zero allocation" 0.
+    minor
+
 let prop_sta_monotone_in_cell_delay =
   QCheck.Test.make ~count:30 ~name:"critical path monotone in logic delay"
     QCheck.(float_range 0.1 3.0)
@@ -531,5 +639,11 @@ let suite =
       test_jitter_matches_rng_reference;
     Alcotest.test_case "incremental sta equivalence" `Quick
       test_incremental_sta_equivalence;
+    Alcotest.test_case "hilbert walk matches tuple reference" `Quick
+      test_hilbert_matches_tuple_reference;
+    Alcotest.test_case "place allocation budget" `Quick
+      test_place_allocation_budget;
+    Alcotest.test_case "net delays allocation-free" `Quick
+      test_net_delay_allocation_free;
   ]
   @ [ QCheck_alcotest.to_alcotest prop_sta_monotone_in_cell_delay ]

@@ -78,6 +78,18 @@ let test_session_shares_stages () =
   let s = Option.get (Hlsb_designs.Suite.find "Vector Arithmetic") in
   let session = Pipeline.of_spec s in
   ignore (Pipeline.run_exn session ~recipe:Style.original);
+  (* every stage that ran reports what it allocated; the rest report 0 *)
+  List.iter
+    (fun (sr : Pipeline.stage_record) ->
+      let name = Pipeline.stage_name sr.Pipeline.sr_stage in
+      match sr.Pipeline.sr_status with
+      | Pipeline.Ran ->
+        if not (sr.Pipeline.sr_alloc_mb > 0.) then
+          Alcotest.failf "ran stage %s reports no allocation" name
+      | Pipeline.Cached | Pipeline.Skipped | Pipeline.Failed ->
+        Alcotest.(check (float 0.)) (name ^ " allocation") 0.
+          sr.Pipeline.sr_alloc_mb)
+    (Pipeline.last_run session);
   ignore (Pipeline.run_exn session ~recipe:Style.optimized);
   Alcotest.(check int) "one elaboration for two recipes" 1
     (runs_of session "elaborate");

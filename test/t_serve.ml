@@ -462,25 +462,32 @@ let test_daemon_status_and_gc () =
       Alcotest.(check bool) "gc evicts nothing under budget" true
         (Json.member "evicted" j = Some (Json.Int 0)))
 
+(* An in-process daemon serving [root] on a fresh socket path, in its own
+   domain; returns once the socket exists. *)
+let spawn_daemon root =
+  let sock = Filename.temp_file "hlsbd-t" ".sock" in
+  Sys.remove sock;
+  let t = Daemon.create ~store_root:root ~ledger:false () in
+  let server = Domain.spawn (fun () -> Daemon.serve t ~socket:sock) in
+  let rec await n =
+    if n = 0 then Alcotest.fail "daemon socket never appeared"
+    else if Sys.file_exists sock then ()
+    else (
+      Unix.sleepf 0.05;
+      await (n - 1))
+  in
+  await 100;
+  (sock, server)
+
+let socket_call sock verb =
+  match Client.call ~socket:sock ~ns:"t" verb with
+  | Ok resp -> check_ok resp
+  | Error m -> Alcotest.failf "client: %s" m
+
 let test_daemon_over_socket () =
   with_temp_dir (fun root ->
-    let sock = Filename.temp_file "hlsbd-t" ".sock" in
-    Sys.remove sock;
-    let t = Daemon.create ~store_root:root ~ledger:false () in
-    let server = Domain.spawn (fun () -> Daemon.serve t ~socket:sock) in
-    let rec await n =
-      if n = 0 then Alcotest.fail "daemon socket never appeared"
-      else if Sys.file_exists sock then ()
-      else (
-        Unix.sleepf 0.05;
-        await (n - 1))
-    in
-    await 100;
-    let call verb =
-      match Client.call ~socket:sock ~ns:"t" verb with
-      | Ok resp -> check_ok resp
-      | Error m -> Alcotest.failf "client: %s" m
-    in
+    let sock, server = spawn_daemon root in
+    let call = socket_call sock in
     Alcotest.(check bool) "daemon answers status" true
       (Client.available ~socket:sock ());
     let r1 = call compile_verb in
@@ -496,6 +503,30 @@ let test_daemon_over_socket () =
       (Sys.file_exists sock);
     Alcotest.(check bool) "daemon no longer answers" false
       (Client.available ~socket:sock ()))
+
+(* A client that sends a compile and hangs up before the answer: the
+   daemon's response write then hits a closed socket. That used to kill
+   the daemon (and here, the whole test process) with SIGPIPE. *)
+let test_daemon_survives_client_disconnect () =
+  with_temp_dir (fun root ->
+    let sock, server = spawn_daemon root in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    (match
+       Protocol.write_frame fd (Protocol.request_to_json (req "gone" compile_verb))
+     with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "request write: %s" m);
+    Unix.close fd;
+    (* the compile takes long enough that the response is written after
+       the close; the next client must still be answered *)
+    let r = socket_call sock compile_verb in
+    Alcotest.(check bool) "next client gets an artifact" true
+      (r.Protocol.p_artifact <> "");
+    ignore (socket_call sock Protocol.Shutdown);
+    match Domain.join server with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "serve loop: %s" m)
 
 (* ---- ledger sync (satellite: torn-append hardening) ---- *)
 
@@ -574,6 +605,8 @@ let suite =
       test_daemon_status_and_gc;
     Alcotest.test_case "daemon: full client/server over a Unix socket" `Slow
       test_daemon_over_socket;
+    Alcotest.test_case "daemon: survives a client that hangs up early" `Slow
+      test_daemon_survives_client_disconnect;
     Alcotest.test_case "ledger: fsynced append round-trips" `Quick
       test_ledger_sync_append;
     Alcotest.test_case "atomic writer: concurrent domains" `Quick

@@ -30,4 +30,5 @@ let () =
       ("explore", T_explore.suite);
       ("serve", T_serve.suite);
       ("export", T_export.suite);
+      ("golden", T_golden.suite);
     ]
