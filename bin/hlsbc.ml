@@ -166,10 +166,6 @@ let cmd_classify =
     (Cmd.info "classify" ~doc:"Source-level broadcast classification")
     Term.(const run $ design_arg)
 
-let compile name recipe =
-  let s = find_design name in
-  Core.Flow.compile_spec ~recipe:(recipe_of recipe) s
-
 let write_text ~path text =
   match open_out path with
   | exception Sys_error msg ->
@@ -187,6 +183,12 @@ let write_text ~path text =
 let fail_diag d =
   Log.error "%s" (Diag.to_string d);
   exit 1
+
+let compile name recipe =
+  let session = Pipeline.of_spec (find_design name) in
+  match Pipeline.run session ~recipe:(recipe_of recipe) with
+  | Ok r -> r
+  | Error d -> fail_diag d
 
 (* ---- hlsbd client mode ---------------------------------------------- *)
 
@@ -220,7 +222,7 @@ let daemon_or_fallback verb fallback =
 (* The in-process spelling of the daemon's compile artifact: the same
    result record, rendered by the same encoder, newline-terminated. *)
 let print_result_artifact r =
-  print_string (Json.to_string ~minify:false (Core.Flow.result_to_json r) ^ "\n")
+  print_string (Json.to_string ~minify:false (Pipeline.result_to_json r) ^ "\n")
 
 let daemon_arg =
   Arg.(
@@ -346,7 +348,7 @@ let cmd_compile =
               ~recipe:(Style.label recipe)
               ~stages:(stage_ms_of_session session)
               ~stage_mb:(stage_mb_of_session session)
-              ~results:[ Core.Flow.result_to_json r ]
+              ~results:[ Pipeline.result_to_json r ]
               ~cache:(cache_counters snap)
               ~metrics:(Metrics.to_json snap) ~cmd:"compile"
               ~label:s.Spec.sp_name ()
@@ -355,7 +357,7 @@ let cmd_compile =
           Some record
       in
       if json then begin
-        let base = Core.Flow.result_to_json r in
+        let base = Pipeline.result_to_json r in
         let full =
           match (base, record) with
           | Json.Obj fields, Some rc ->
@@ -364,7 +366,7 @@ let cmd_compile =
         in
         print_endline (Json.to_string ~minify:false full)
       end
-      else print_endline (Core.Flow.summary r);
+      else print_endline (Pipeline.summary r);
       (match dump_after with
       | None -> ()
       | Some stage_s -> (
@@ -434,7 +436,7 @@ let cmd_profile =
             List.fold_left
               (fun acc (k : Hlsb_rtlgen.Design.kernel_info) ->
                 max acc k.Hlsb_rtlgen.Design.ki_depth)
-              1 r.Core.Flow.fr_design.Hlsb_rtlgen.Design.kernels
+              1 r.Pipeline.fr_design.Hlsb_rtlgen.Design.kernels
             |> min 64
           in
           let skid_depth =
@@ -463,13 +465,13 @@ let cmd_profile =
         ~recipe:(Style.label (recipe_of recipe))
         ~stages:(stage_ms_of_session session)
         ~stage_mb:(stage_mb_of_session session)
-        ~results:[ Core.Flow.result_to_json r ]
+        ~results:[ Pipeline.result_to_json r ]
         ~cache:(cache_counters snap)
         ~metrics:(Metrics.to_json snap) ~cmd:"profile" ~label:s.Spec.sp_name ()
     in
     if Ledger.enabled () then append_ledger record;
     if not quiet then begin
-      print_endline (Core.Flow.summary r);
+      print_endline (Pipeline.summary r);
       print_newline ();
       print_endline "spans:";
       print_string (Trace.render trace);
@@ -517,8 +519,10 @@ let cmd_profile =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Compile a benchmark with telemetry enabled: nested spans for \
-          elaborate/schedule/lower/timing plus broadcast/occupancy metrics")
+         "Compile a benchmark with telemetry enabled: a pipeline span over \
+          stage.elaborate ... stage.report, nesting per-kernel schedule and \
+          lower, wire_channels, sync_controllers and utilization, then an \
+          occupancy_sim span, plus broadcast/occupancy metrics")
     Term.(
       const run $ common_term $ design_arg $ recipe_arg $ trace_arg $ metrics_arg
       $ quiet_arg)
@@ -526,8 +530,8 @@ let cmd_profile =
 let cmd_path =
   let run name recipe =
     let r = compile name recipe in
-    print_endline (Core.Flow.summary r);
-    let nl = r.Core.Flow.fr_design.Hlsb_rtlgen.Design.netlist in
+    print_endline (Pipeline.summary r);
+    let nl = r.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist in
     List.iter
       (fun (st : Timing.path_step) ->
         Printf.printf "  %-34s arrival %7.3f ns  %s\n" st.Timing.ps_cell_name
@@ -538,7 +542,7 @@ let cmd_path =
             let net = Netlist.net nl n in
             Printf.sprintf "via %s (fanout %d)" net.Netlist.n_name
               (Array.length net.Netlist.n_sinks)))
-      r.Core.Flow.fr_timing.Timing.path
+      r.Pipeline.fr_timing.Timing.path
   in
   Cmd.v
     (Cmd.info "path" ~doc:"Show the critical path of a compiled benchmark")
@@ -656,10 +660,10 @@ let cmd_cc =
                ~recipe:(Style.label recipe)
                ~stages:(stage_ms_of_session session)
                ~stage_mb:(stage_mb_of_session session)
-               ~results:[ Core.Flow.result_to_json r ]
+               ~results:[ Pipeline.result_to_json r ]
                ~cache:(cache_counters snap)
                ~metrics:(Metrics.to_json snap) ~cmd:"cc" ~label ()));
-        print_endline (Core.Flow.summary r);
+        print_endline (Pipeline.summary r);
         (match dump_after with
         | None -> ()
         | Some stage_s -> (
@@ -721,7 +725,7 @@ let cmd_cc =
 let cmd_emit =
   let run name recipe fmt out =
     let r = compile name recipe in
-    let nl = r.Core.Flow.fr_design.Hlsb_rtlgen.Design.netlist in
+    let nl = r.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist in
     let text =
       match fmt with
       | "dot" -> Hlsb_netlist.Export.to_dot nl

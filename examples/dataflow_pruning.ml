@@ -10,6 +10,7 @@
 open Hlsb_ir
 module Device = Hlsb_device.Device
 module Style = Hlsb_ctrl.Style
+module Pipeline = Core.Pipeline
 module Sync = Hlsb_ctrl.Sync
 module Network = Hlsb_sim.Network
 
@@ -30,8 +31,11 @@ let () =
 
   (* 2. the Fmax consequence *)
   print_endline "\n--- frequency: naive sync vs pruned sync ---";
+  let session =
+    Pipeline.create ~device:Device.alveo_u50 ~name:"hbm" ~build:(fun () -> df) ()
+  in
   let compile recipe tag =
-    Core.Flow.compile ~device:Device.alveo_u50 ~recipe ~name:("hbm_" ^ tag) df
+    Pipeline.run_exn session ~name:("hbm_" ^ tag) ~recipe
   in
   let naive =
     compile
@@ -39,10 +43,10 @@ let () =
       "naive"
   in
   let opt = compile Style.optimized "pruned" in
-  print_endline (Core.Flow.summary naive);
-  print_endline (Core.Flow.summary opt);
+  print_endline (Pipeline.summary naive);
+  print_endline (Pipeline.summary opt);
   Printf.printf "gain from pruning alone: %.0f%%  (paper: 191 -> 324 MHz, +70%%)\n"
-    (Core.Flow.improvement_pct ~orig:naive ~opt);
+    (Pipeline.improvement_pct ~orig:naive ~opt);
 
   (* 3. the functional non-consequence: every flow's output stream is
      untouched, and decoupled flows ride through each other's stalls *)

@@ -5,6 +5,7 @@
 
 module Frontend = Hlsb_frontend.Frontend
 module Style = Hlsb_ctrl.Style
+module Pipeline = Core.Pipeline
 module Device = Hlsb_device.Device
 
 let fig1 =
@@ -121,11 +122,12 @@ let compile_and_report label src =
   | Ok df ->
     let device = Device.ultrascale_plus in
     print_string (Core.Classify.to_string (Core.Classify.analyze ~device df));
-    let orig = Core.Flow.compile ~device ~recipe:Style.original ~name:label df in
-    let opt = Core.Flow.compile ~device ~recipe:Style.optimized ~name:label df in
+    let session = Pipeline.create ~device ~name:label ~build:(fun () -> df) () in
+    let orig = Pipeline.run_exn session ~recipe:Style.original in
+    let opt = Pipeline.run_exn session ~recipe:Style.optimized in
     Printf.printf "original : %.0f MHz\noptimized: %.0f MHz (%+.0f%%)\n\n"
-      orig.Core.Flow.fr_fmax_mhz opt.Core.Flow.fr_fmax_mhz
-      (Core.Flow.improvement_pct ~orig ~opt)
+      orig.Pipeline.fr_fmax_mhz opt.Pipeline.fr_fmax_mhz
+      (Pipeline.improvement_pct ~orig ~opt)
 
 let () =
   compile_and_report "Fig. 1 (loop unrolling)" fig1;

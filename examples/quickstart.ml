@@ -13,6 +13,7 @@
 open Hlsb_ir
 module Device = Hlsb_device.Device
 module Style = Hlsb_ctrl.Style
+module Pipeline = Core.Pipeline
 
 let i32 = Dtype.Int 32
 
@@ -61,12 +62,12 @@ let () =
 
   (* 2. compile with the vendor-style flow and with the paper's flow *)
   print_endline "\n--- compilation: original vs broadcast-aware ---";
-  let orig = Core.Flow.compile ~device ~recipe:Style.original ~name:"fig1" df in
-  let opt = Core.Flow.compile ~device ~recipe:Style.optimized ~name:"fig1" df in
-  print_endline (Core.Flow.summary orig);
-  print_endline (Core.Flow.summary opt);
-  Printf.printf "frequency gain: %.0f%%\n"
-    (Core.Flow.improvement_pct ~orig ~opt);
+  let session = Pipeline.create ~device ~name:"fig1" ~build:(fun () -> df) () in
+  let orig = Pipeline.run_exn session ~recipe:Style.original in
+  let opt = Pipeline.run_exn session ~recipe:Style.optimized in
+  print_endline (Pipeline.summary orig);
+  print_endline (Pipeline.summary opt);
+  Printf.printf "frequency gain: %.0f%%\n" (Pipeline.improvement_pct ~orig ~opt);
 
   (* 3. where did the time go? the original's critical path runs through
      the broadcast *)
@@ -75,4 +76,4 @@ let () =
     (fun (s : Hlsb_physical.Timing.path_step) ->
       Printf.printf "  %-26s arrival %.2f ns\n" s.Hlsb_physical.Timing.ps_cell_name
         s.Hlsb_physical.Timing.ps_arrival)
-    orig.Core.Flow.fr_timing.Hlsb_physical.Timing.path
+    orig.Pipeline.fr_timing.Hlsb_physical.Timing.path

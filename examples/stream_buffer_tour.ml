@@ -28,11 +28,17 @@ let sweep () =
   in
   List.iter
     (fun words ->
-      let build () = Hlsb_designs.Stream_buffer.dataflow ~depth_words:words () in
+      let session =
+        Core.Pipeline.create ~device:Device.ultrascale_plus
+          ~name:(Printf.sprintf "sb%d" words)
+          ~build:(fun () ->
+            Hlsb_designs.Stream_buffer.dataflow ~depth_words:words ())
+          ()
+      in
       let compile recipe tag =
-        Core.Flow.compile ~device:Device.ultrascale_plus ~recipe
+        Core.Pipeline.run_exn session
           ~name:(Printf.sprintf "sb%d_%s" words tag)
-          (build ())
+          ~recipe
       in
       let orig = compile Style.original "o" in
       let data_only =
@@ -42,7 +48,7 @@ let sweep () =
       in
       let full = compile Style.optimized "f" in
       let structure =
-        match orig.Core.Flow.fr_timing.Hlsb_physical.Timing.worst_net_class with
+        match orig.Core.Pipeline.fr_timing.Hlsb_physical.Timing.worst_net_class with
         | Some Hlsb_netlist.Netlist.Ctrl_pipeline -> "stall broadcast"
         | Some Hlsb_netlist.Netlist.Data_broadcast -> "data broadcast"
         | Some Hlsb_netlist.Netlist.Ctrl_sync -> "sync broadcast"
@@ -51,9 +57,9 @@ let sweep () =
       Table.add_row t
         [
           string_of_int words;
-          Printf.sprintf "%.0f MHz" orig.Core.Flow.fr_fmax_mhz;
-          Printf.sprintf "%.0f MHz" data_only.Core.Flow.fr_fmax_mhz;
-          Printf.sprintf "%.0f MHz" full.Core.Flow.fr_fmax_mhz;
+          Printf.sprintf "%.0f MHz" orig.Core.Pipeline.fr_fmax_mhz;
+          Printf.sprintf "%.0f MHz" data_only.Core.Pipeline.fr_fmax_mhz;
+          Printf.sprintf "%.0f MHz" full.Core.Pipeline.fr_fmax_mhz;
           structure;
         ])
     [ 8192; 32768; 131072 ];

@@ -17,8 +17,8 @@ type table1_row = {
   t1_name : string;
   t1_broadcast : string;
   t1_device : string;
-  t1_orig : Flow.result;
-  t1_opt : Flow.result;
+  t1_orig : Pipeline.result;
+  t1_opt : Pipeline.result;
   t1_paper : Spec.paper_numbers;
 }
 
@@ -78,14 +78,14 @@ let render_table1 rows =
           r.t1_name;
           r.t1_broadcast;
           r.t1_device;
-          pct r.t1_orig.Flow.fr_lut_pct ^ "/" ^ pct r.t1_opt.Flow.fr_lut_pct;
-          pct r.t1_orig.Flow.fr_ff_pct ^ "/" ^ pct r.t1_opt.Flow.fr_ff_pct;
-          pct r.t1_orig.Flow.fr_bram_pct ^ "/" ^ pct r.t1_opt.Flow.fr_bram_pct;
-          pct r.t1_orig.Flow.fr_dsp_pct ^ "/" ^ pct r.t1_opt.Flow.fr_dsp_pct;
-          mhz r.t1_orig.Flow.fr_fmax_mhz;
-          mhz r.t1_opt.Flow.fr_fmax_mhz;
+          pct r.t1_orig.Pipeline.fr_lut_pct ^ "/" ^ pct r.t1_opt.Pipeline.fr_lut_pct;
+          pct r.t1_orig.Pipeline.fr_ff_pct ^ "/" ^ pct r.t1_opt.Pipeline.fr_ff_pct;
+          pct r.t1_orig.Pipeline.fr_bram_pct ^ "/" ^ pct r.t1_opt.Pipeline.fr_bram_pct;
+          pct r.t1_orig.Pipeline.fr_dsp_pct ^ "/" ^ pct r.t1_opt.Pipeline.fr_dsp_pct;
+          mhz r.t1_orig.Pipeline.fr_fmax_mhz;
+          mhz r.t1_opt.Pipeline.fr_fmax_mhz;
           Printf.sprintf "%.0f%%"
-            (Flow.improvement_pct ~orig:r.t1_orig ~opt:r.t1_opt);
+            (Pipeline.improvement_pct ~orig:r.t1_orig ~opt:r.t1_opt);
           Printf.sprintf "%d->%d (%d%%)" po pp (100 * (pp - po) / po);
         ])
     rows;
@@ -95,7 +95,7 @@ let render_table1 rows =
 
 type variant_row = {
   vr_label : string;
-  vr_result : Flow.result;
+  vr_result : Pipeline.result;
   vr_paper_mhz : int option;
 }
 
@@ -186,11 +186,11 @@ let render_variants ~title rows =
       Table.add_row t
         [
           r.vr_label;
-          Printf.sprintf "%.0f MHz" r.vr_result.Flow.fr_fmax_mhz;
-          Printf.sprintf "%.1f%%" r.vr_result.Flow.fr_lut_pct;
-          Printf.sprintf "%.1f%%" r.vr_result.Flow.fr_ff_pct;
-          Printf.sprintf "%.2f%%" r.vr_result.Flow.fr_bram_pct;
-          Printf.sprintf "%.1f%%" r.vr_result.Flow.fr_dsp_pct;
+          Printf.sprintf "%.0f MHz" r.vr_result.Pipeline.fr_fmax_mhz;
+          Printf.sprintf "%.1f%%" r.vr_result.Pipeline.fr_lut_pct;
+          Printf.sprintf "%.1f%%" r.vr_result.Pipeline.fr_ff_pct;
+          Printf.sprintf "%.2f%%" r.vr_result.Pipeline.fr_bram_pct;
+          Printf.sprintf "%.1f%%" r.vr_result.Pipeline.fr_dsp_pct;
           (match r.vr_paper_mhz with Some m -> string_of_int m | None -> "-");
         ])
     rows;
@@ -286,9 +286,9 @@ let run_fig15 ?(factors = [ 8; 16; 32; 64; 128 ]) ?jobs () =
         f15_unroll = unroll;
         f15_hls_est_ns = hls_est;
         f15_our_est_ns = our_est;
-        f15_actual_ns = orig.Flow.fr_critical_ns;
-        f15_orig_mhz = orig.Flow.fr_fmax_mhz;
-        f15_opt_mhz = opt.Flow.fr_fmax_mhz;
+        f15_actual_ns = orig.Pipeline.fr_critical_ns;
+        f15_orig_mhz = orig.Pipeline.fr_fmax_mhz;
+        f15_opt_mhz = opt.Pipeline.fr_fmax_mhz;
       })
     factors
 
@@ -356,13 +356,13 @@ let run_fig16 ?(iterations = [ 1; 2; 4; 8 ]) ?jobs () =
       let stages =
         List.fold_left
           (fun acc (k : Design.kernel_info) -> acc + k.Design.ki_depth)
-          0 stall.Flow.fr_design.Design.kernels
+          0 stall.Pipeline.fr_design.Design.kernels
       in
       {
         f16_iterations = iters;
         f16_stages = stages;
-        f16_stall_mhz = stall.Flow.fr_fmax_mhz;
-        f16_skid_mhz = skid.Flow.fr_fmax_mhz;
+        f16_stall_mhz = stall.Pipeline.fr_fmax_mhz;
+        f16_skid_mhz = skid.Pipeline.fr_fmax_mhz;
       })
     iterations
 
@@ -470,10 +470,10 @@ let run_fig19 ?(sizes = [ 8192; 16384; 32768; 65536; 131072 ]) ?jobs () =
       let full = compile Style.optimized "fullopt" in
       {
         f19_words = words;
-        f19_bram_pct = full.Flow.fr_bram_pct;
-        f19_orig_mhz = orig.Flow.fr_fmax_mhz;
-        f19_data_opt_mhz = data_opt.Flow.fr_fmax_mhz;
-        f19_full_opt_mhz = full.Flow.fr_fmax_mhz;
+        f19_bram_pct = full.Pipeline.fr_bram_pct;
+        f19_orig_mhz = orig.Pipeline.fr_fmax_mhz;
+        f19_data_opt_mhz = data_opt.Pipeline.fr_fmax_mhz;
+        f19_full_opt_mhz = full.Pipeline.fr_fmax_mhz;
       })
     sizes
 
@@ -543,8 +543,8 @@ let run_ablations () =
       "hbm_naive"
   in
   let pruned = compile Style.optimized "hbm_pruned" in
-  push "hbm stencil, naive sync" naive.Flow.fr_fmax_mhz "MHz";
-  push "hbm stencil, pruned sync" pruned.Flow.fr_fmax_mhz "MHz";
+  push "hbm stencil, naive sync" naive.Pipeline.fr_fmax_mhz "MHz";
+  push "hbm stencil, pruned sync" pruned.Pipeline.fr_fmax_mhz "MHz";
   List.rev !rows
 
 let render_ablations rows =
@@ -607,7 +607,7 @@ let run_scale ?(points = Hlsb_designs.Bigmul.sweep) ?jobs () =
       let total_ms =
         List.fold_left (fun acc (_, ms) -> acc +. ms) 0. stage_ms
       in
-      let nl = res.Flow.fr_design.Design.netlist in
+      let nl = res.Pipeline.fr_design.Design.netlist in
       let cells = Netlist.n_cells nl in
       (* The incremental-STA hot path: prepare a timing context once, then
          an ECO-style nudge of a handful of cells re-times only the nets
@@ -639,7 +639,7 @@ let run_scale ?(points = Hlsb_designs.Bigmul.sweep) ?jobs () =
         sc_lanes = lanes;
         sc_cells = cells;
         sc_nets = Netlist.n_nets nl;
-        sc_fmax_mhz = res.Flow.fr_fmax_mhz;
+        sc_fmax_mhz = res.Pipeline.fr_fmax_mhz;
         sc_stage_ms = stage_ms;
         sc_total_ms = total_ms;
         sc_cells_per_sec =

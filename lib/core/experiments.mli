@@ -7,8 +7,8 @@ type table1_row = {
   t1_name : string;
   t1_broadcast : string;
   t1_device : string;
-  t1_orig : Flow.result;
-  t1_opt : Flow.result;
+  t1_orig : Pipeline.result;
+  t1_opt : Pipeline.result;
   t1_paper : Hlsb_designs.Spec.paper_numbers;
 }
 
@@ -22,7 +22,7 @@ val render_table1 : table1_row list -> string
 
 type variant_row = {
   vr_label : string;
-  vr_result : Flow.result;
+  vr_result : Pipeline.result;
   vr_paper_mhz : int option;
 }
 

@@ -67,7 +67,7 @@ let describe = function
   | Sta -> "static timing analysis: critical path and Fmax"
   | Report -> "utilization and the compile result record"
 
-(* ---------------- result record (Flow.result aliases this) ----------- *)
+(* ---------------- result record ---------------- *)
 
 type result = {
   fr_label : string;
@@ -135,6 +135,19 @@ let result_to_json r =
       ("sync_groups", Json.Int r.fr_design.Design.sync_groups_emitted);
       ("max_sync_fanout", Json.Int r.fr_design.Design.max_sync_fanout);
     ]
+
+let summary r =
+  Printf.sprintf
+    "%-40s %6.1f MHz  (%.2f ns)  LUT %5.1f%%  FF %5.1f%%  BRAM %5.1f%%  DSP %5.1f%%"
+    r.fr_label r.fr_fmax_mhz r.fr_critical_ns r.fr_lut_pct r.fr_ff_pct
+    r.fr_bram_pct r.fr_dsp_pct
+
+let improvement_pct ~orig ~opt =
+  let base = orig.fr_fmax_mhz in
+  if not (Float.is_finite base) || base <= 0. then 0.
+  else
+    let pct = 100. *. ((opt.fr_fmax_mhz /. base) -. 1.) in
+    if Float.is_finite pct then pct else 0.
 
 (* ---------------- sessions ---------------- *)
 
@@ -433,8 +446,8 @@ let classify_report ?(plan = Plan.identity) t =
 let effective_names ?name t ~recipe =
   (* label: what the result record is titled after; netlist: the design
      name the netlist (and so the timing seed) is derived from. They
-     differ only for single-kernel sessions, matching the legacy
-     [Flow.compile_kernel] behaviour. *)
+     differ only for single-kernel sessions, whose netlist carries the
+     recipe label too. *)
   let label = Option.value ~default:t.ss_name name in
   let netlist =
     if t.ss_kernel_naming then t.ss_name ^ "_" ^ Style.label recipe else label
@@ -549,9 +562,6 @@ let cache_key ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
   let _, netlist_name = effective_names ?name t ~recipe in
   let tuning = tuning_key ~target_mhz ~inject in
   compile_key ~netlist_name ~plan ~tuning recipe
-
-let session_name t = t.ss_name
-let session_device t = t.ss_device
 
 let run_exn ?name ?plan ?target_mhz ?inject t ~recipe =
   (compiled_exn ?name ?plan ?target_mhz ?inject t ~recipe).co_result

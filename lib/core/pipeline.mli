@@ -15,9 +15,12 @@
     over recipes, as the Fig-19 driver does — therefore elaborates once
     instead of once per recipe point.
 
-    [Flow.compile]/[compile_spec]/[compile_kernel] remain as thin
-    compatibility wrappers with byte-identical results (asserted by the
-    staged-vs-legacy equivalence tests). *)
+    This is the library's one compile path: compile a design under
+    {!Hlsb_ctrl.Style.original} to see what today's HLS emits, under
+    {!Hlsb_ctrl.Style.optimized} to apply the paper's three techniques.
+    {!create} (IR builder), {!of_spec} (benchmark on its paper device),
+    {!of_kernel} (one pipelined kernel) and {!of_program} (C source)
+    open a session; {!run} compiles it. *)
 
 module Diag = Hlsb_util.Diag
 
@@ -57,15 +60,28 @@ type result = {
   fr_design : Hlsb_rtlgen.Design.t;
   fr_timing : Hlsb_physical.Timing.report;
 }
-(** The compile result record ([Flow.result] is an alias of this type). *)
+(** The compile result record. *)
 
 val result_to_json : result -> Hlsb_telemetry.Json.t
+(** The record as JSON (Fmax, critical ns, utilization percentages,
+    per-kernel depth/registers/skid bits) — the payload of
+    [hlsbc compile --json] and [hlsbc profile]. *)
+
+val summary : result -> string
+(** One line: label, Fmax, critical path and utilization percentages. *)
+
+val improvement_pct : orig:result -> opt:result -> float
+(** Relative Fmax gain in percent, the paper's "Diff" column. Returns
+    [0.] when the baseline Fmax is zero, negative or non-finite (a
+    degenerate compile) instead of letting [inf]/[nan] reach the report
+    tables. *)
 
 val finish :
   name:string -> Hlsb_rtlgen.Design.t -> Hlsb_physical.Timing.report -> result
-(** The [report] stage body: utilization + record assembly (shared with
-    the legacy [Flow] wrappers so both paths emit identical records and
-    metrics). *)
+(** The [report] stage body: utilization + record assembly. Exposed so a
+    caller that runs the stage functions of {!Hlsb_rtlgen.Design} itself
+    (a per-layer traced benchmark) assembles the same record and metrics
+    as {!run}. *)
 
 (** {1 Sessions} *)
 
@@ -99,9 +115,9 @@ val of_spec : ?target_mhz:float -> Hlsb_designs.Spec.t -> session
 
 val of_kernel :
   ?target_mhz:float -> device:Hlsb_device.Device.t -> Hlsb_ir.Kernel.t -> session
-(** Single-kernel session. Matches [Flow.compile_kernel] naming: the
-    netlist is named [<kernel>_<recipe label>] per run, the result label
-    after the kernel alone. *)
+(** Single-kernel session over {!Hlsb_rtlgen.Design.kernel_dataflow}:
+    the netlist is named [<kernel>_<recipe label>] per run, the result
+    label after the kernel alone. *)
 
 val cache_key :
   ?name:string ->
@@ -119,11 +135,6 @@ val cache_key :
     on-disk content-addressed store keys from this same string (plus the
     device fingerprint and input identity), which is what makes a
     daemon store hit equivalent to an in-session cache hit. *)
-
-val session_name : session -> string
-val session_device : session -> Hlsb_device.Device.t
-(** The session's design name and target device, for callers (the
-    compile service) that persist session artifacts externally. *)
 
 val run :
   ?name:string ->
@@ -148,9 +159,8 @@ val run :
     widest-read values ({!Hlsb_sched.Schedule.inject}) — the explorer's
     two tuning axes. Both join the schedule and compile cache keys, and
     both default to [None], under which every key is byte-identical to
-    an untuned run (the staged-vs-legacy equivalence tests rely on
-    this). No [Invalid_argument] or [Failure] escapes: malformed inputs
-    surface as [Error d] with stage and entity names. *)
+    an untuned run. No [Invalid_argument] or [Failure] escapes:
+    malformed inputs surface as [Error d] with stage and entity names. *)
 
 val run_exn :
   ?name:string ->

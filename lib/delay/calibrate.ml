@@ -217,18 +217,12 @@ let interp grid values x =
     (values.(i) *. (1. -. frac)) +. (values.(i + 1) *. frac)
   end
 
-let op_predicted _t op dt = Oplib.predicted op dt
-
 let op_delay t op dt ~factor =
   if factor < 1 then invalid_arg "Calibrate.op_delay: factor < 1";
   Metrics.incr "calibrate.lookups";
   let c = op_curves t op dt in
   let measured = interp factor_grid c.smoothed factor in
   max (Oplib.predicted op dt) measured
-
-let op_measured t op dt ~factor =
-  let c = op_curves t op dt in
-  interp factor_grid c.raw factor
 
 let units_of ~width ~depth = Device.bram18_for ~width ~depth
 

@@ -32,18 +32,9 @@ val unit_grid : int array
 (** BRAM18 unit counts at which memory curves are sampled (once per device
     — the unit count, not the width/depth split, sets the broadcast cost). *)
 
-val depth_grid : int array
-(** The unit grid expressed as 36-bit-buffer depths, for presentation. *)
-
 val op_delay : t -> Op.t -> Dtype.t -> factor:int -> float
 (** Calibrated delay at any factor >= 1 (log-interpolated between grid
     points, clamped beyond). *)
-
-val op_predicted : t -> Op.t -> Dtype.t -> float
-(** The fanout-blind HLS prediction, for comparison columns. *)
-
-val op_measured : t -> Op.t -> Dtype.t -> factor:int -> float
-(** Raw (unsmoothed) measurement, interpolated like {!op_delay}. *)
 
 val mem_write_delay : t -> width:int -> depth:int -> float
 (** Calibrated store delay for a buffer of the given geometry. *)

@@ -46,9 +46,6 @@ val n_slices : t -> int
 val slices_for_luts : t -> int -> int
 (** Slices needed to hold that many LUTs (ceiling). *)
 
-val bram18_bits : int
-(** Capacity of one BRAM18 unit, data bits. *)
-
 val bram18_for : width:int -> depth:int -> int
 (** BRAM18 units needed for a [width]-bit x [depth]-word memory, accounting
     for both total bits and the max per-unit port width (36). *)

@@ -29,10 +29,6 @@ type config = {
   cf_inject : Schedule.inject option;
 }
 
-val config_label : config -> string
-(** Deterministic, filename-safe-ish label, e.g.
-    ["optimized+inj2x1"] or ["optimized+plan[partition=cyclic:4]"]. *)
-
 val space : plans:Plan.t list -> config list
 (** The enumeration order (trim with the budget): the static
     [optimized] point first — so the explorer's best can never fall

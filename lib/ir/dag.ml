@@ -151,11 +151,6 @@ let broadcast_factor t v =
   check_node t v;
   List.length (consumer_table t).(v)
 
-let is_datapath = function
-  | Input _ | Const _ -> false
-  | Operation _ | Load _ | Store _ | Fifo_read _ | Fifo_write _ | Output _ ->
-    true
-
 let iter t f =
   for v = 0 to Vec.length t.nodes - 1 do
     f v

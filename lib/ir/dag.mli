@@ -82,10 +82,6 @@ val broadcast_factor : t -> node -> int
     the *value* operand's physical fanout; that physical effect is accounted
     for in netlist generation, not here. *)
 
-val is_datapath : kind -> bool
-(** True for nodes that synthesize combinational/sequential datapath logic
-    (everything except [Input] and [Const]). *)
-
 val iter : t -> (node -> unit) -> unit
 (** In topological (= id) order. *)
 
@@ -96,5 +92,4 @@ val validate : t -> (unit, string) result
 val op_histogram : t -> (string * int) list
 (** Operator name -> count, sorted by name; for reports. *)
 
-val pp_node : t -> Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit

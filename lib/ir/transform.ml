@@ -12,16 +12,6 @@ let partitioned_buffers dag ~name ~dtype ~depth ~factor =
       ~name:(Printf.sprintf "%s_bank%d" name i)
       ~dtype ~depth:bank_depth ~partition:1)
 
-let load_partitioned dag ~buffers ~index ~bank_of =
-  if bank_of < 0 || bank_of >= Array.length buffers then
-    invalid_arg "Transform.load_partitioned: bad bank";
-  Dag.load dag ~buffer:buffers.(bank_of) ~index
-
-let store_partitioned dag ~buffers ~index ~value ~bank_of =
-  if bank_of < 0 || bank_of >= Array.length buffers then
-    invalid_arg "Transform.store_partitioned: bad bank";
-  Dag.store dag ~buffer:buffers.(bank_of) ~index ~value
-
 let rec reduce_tree dag ~op ~dtype nodes =
   match nodes with
   | [] -> invalid_arg "Transform.reduce_tree: empty"

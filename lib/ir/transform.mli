@@ -22,19 +22,6 @@ val partitioned_buffers :
     words each (rounded up) and returns their ids. Mirrors
     [#pragma HLS array_partition cyclic factor=N]. *)
 
-val load_partitioned :
-  Dag.t -> buffers:int array -> index:Dag.node -> bank_of:int -> Dag.node
-(** Access bank [bank_of] of a partitioned array at [index] (the in-bank
-    index). Convenience over {!Dag.load}. *)
-
-val store_partitioned :
-  Dag.t ->
-  buffers:int array ->
-  index:Dag.node ->
-  value:Dag.node ->
-  bank_of:int ->
-  Dag.node
-
 val reduce_tree :
   Dag.t -> op:Op.t -> dtype:Dtype.t -> Dag.node list -> Dag.node
 (** Balanced binary reduction (the adder tree HLS infers for dot products,

@@ -37,13 +37,6 @@ let shifter w =
 let priority_encoder w = luts w
 let register w = { zero_res with r_ffs = max 1 w }
 
-let bram_bank ~width ~depth =
-  {
-    zero_res with
-    r_bram18 = Hlsb_device.Device.bram18_for ~width ~depth;
-    r_luts = 8 (* address/we glue *);
-  }
-
 let fifo ~width ~depth =
   (* shallow FIFOs map to SRL/LUTRAM shift registers regardless of width;
      only deep ones earn BRAM *)
@@ -57,8 +50,6 @@ let fifo ~width ~depth =
   else
     (* SRL/LUTRAM-based *)
     { zero_res with r_luts = (width * cdiv depth 16) + 20; r_ffs = width + 12 }
-
-let and_tree n = if n <= 1 then zero_res else luts (cdiv n 5)
 
 let and_tree_levels n =
   if n <= 1 then 0

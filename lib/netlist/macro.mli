@@ -33,16 +33,10 @@ val priority_encoder : int -> resources
 
 val register : int -> resources
 
-val bram_bank : width:int -> depth:int -> resources
-(** Memory bank; BRAM18 units per {!Hlsb_device.Device.bram18_for}. *)
-
 val fifo : width:int -> depth:int -> resources
 (** Small/shallow FIFOs map to LUTRAM + control; deep or wide ones to
     BRAM. The threshold (depth > 64 or width*depth > 1024 bits) follows the
     usual HLS implementation choice. *)
-
-val and_tree : int -> resources
-(** N-input AND reduction (the "all dones" tree of §3.2). *)
 
 val and_tree_levels : int -> int
 (** LUT levels of the reduction: ceil(log6 n), 0 for n <= 1. *)

@@ -96,5 +96,3 @@ val merge : t -> t -> int array * int array
 (** [merge dst src] appends all cells/nets of [src] into [dst]; returns the
     (cell, net) id translation arrays. Used to stitch per-kernel netlists
     into a top-level design. *)
-
-val stats_string : t -> string

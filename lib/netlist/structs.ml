@@ -196,6 +196,3 @@ let add_fanout_tree nl ~name ~driver ~sinks ~width ~levels ~leaf_fanout =
   in
   build 0 [ driver ];
   levels
-
-let broadcast_register _d nl ?(cls = Netlist.Data) ~name ~driver ~sinks ~width () =
-  Netlist.add_net nl ~cls ~name ~driver ~sinks ~width ()

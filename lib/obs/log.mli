@@ -23,7 +23,6 @@
 type level = Debug | Info | Warn | Error | Off
 
 val level_name : level -> string
-val level_of_string : string -> (level, string) result
 
 type format = Text | Jsonl
 

@@ -453,19 +453,3 @@ let run ?jitter ?seed d nl =
           ("nets", Hlsb_telemetry.Json.Int (Netlist.n_nets nl));
         ]
       (fun () -> run_body ?jitter ?seed d nl)
-
-let pp_report fmt r =
-  Format.fprintf fmt "critical %.3f ns -> %.1f MHz (path %d cells" r.critical_ns
-    r.fmax_mhz (List.length r.path);
-  (match r.worst_net_class with
-  | Some c ->
-    let cls =
-      match c with
-      | Netlist.Data -> "data"
-      | Netlist.Data_broadcast -> "data-broadcast"
-      | Netlist.Ctrl_sync -> "ctrl-sync"
-      | Netlist.Ctrl_pipeline -> "ctrl-pipeline"
-    in
-    Format.fprintf fmt ", worst net fanout %d [%s]" r.worst_net_fanout cls
-  | None -> ());
-  Format.fprintf fmt ")"

@@ -9,8 +9,8 @@
     byte-identity contract is that [p_artifact] for a hit equals the
     [p_artifact] that populated the store. Failures carry the full
     structured diagnostic ({!Hlsb_util.Diag.t}) as data: stage,
-    severity, offending entity, message — which is why [Design.generate]
-    had to stop flattening diagnostics into [invalid_arg] strings. *)
+    severity, offending entity, message — which is why no compile stage
+    may flatten a diagnostic into an [invalid_arg] string. *)
 
 module Json = Hlsb_telemetry.Json
 module Diag = Hlsb_util.Diag
@@ -90,8 +90,5 @@ val peer_closed : string
 
 val read_frame : Unix.file_descr -> (Json.t, string) result
 (** Read up to the first ['\n'] (or EOF) and parse. Refuses frames over
-    {!max_frame_bytes}. *)
-
-val max_frame_bytes : int
-(** 64 MiB — a generous bound on source files and artifacts that still
+    64 MiB — a generous bound on source files and artifacts that still
     stops a runaway peer from ballooning the daemon. *)

@@ -34,7 +34,6 @@ val of_string : string -> (t, string) result
 val to_string : t -> string
 (** Canonical rendering; [""] for the identity plan. *)
 
-val source_requests : t -> Pass.request list
 val has_channel_reuse : t -> bool
 
 val apply_source : t -> Ast.program -> (Ast.program, Diag.t) result

@@ -4,12 +4,11 @@
     channel, net, process), instead of letting a bare
     [Invalid_argument]/[Failure] escape with a context-free string.
 
-    The staged pipeline ([Core.Pipeline]) catches {!Diagnostic} at stage
-    boundaries and returns the payload as a [Result]; the legacy
-    [Flow.compile]/[Design.generate] entry points let it propagate
-    unchanged, so even pre-pipeline callers (and the compile daemon's
-    error responses) see the stage and entity rather than a flattened
-    [Invalid_argument] string. *)
+    The compile pipeline ([Core.Pipeline]) catches {!Diagnostic} at stage
+    boundaries and returns the payload as a [Result] ([run_exn]
+    re-raises it unchanged), so callers — the compile daemon's error
+    responses among them — see the stage and entity rather than a
+    flattened [Invalid_argument] string. *)
 
 type severity = Error | Warning
 
@@ -36,9 +35,6 @@ val warning : ?entity:entity -> stage:string -> string -> t
 
 val fail : ?entity:entity -> stage:string -> ('a, unit, string, 'b) format4 -> 'a
 (** [fail ~stage fmt ...] raises {!Diagnostic} with an [Error] payload. *)
-
-val entity_label : entity -> string
-(** ["kernel foo"], ["channel bar"], ... *)
 
 val severity_label : severity -> string
 

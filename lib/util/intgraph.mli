@@ -14,12 +14,6 @@ val add_edge : t -> int -> int -> unit
 
 val n_nodes : t -> int
 
-val succs : t -> int -> int list
-(** Successors of a node, in insertion order. *)
-
-val preds : t -> int -> int list
-(** Predecessors of a node, in insertion order. *)
-
 val topological_order : t -> int list option
 (** [Some order] with every edge going forward in [order], or [None] if the
     graph has a cycle. *)

@@ -3,14 +3,14 @@
    structures, and the experiment drivers produce well-formed rows. *)
 
 open Hlsb_ir
-module Flow = Core.Flow
+module Pipeline = Core.Pipeline
 module Classify = Core.Classify
 module Experiments = Core.Experiments
 module Style = Hlsb_ctrl.Style
 module Device = Hlsb_device.Device
 module Netlist = Hlsb_netlist.Netlist
 
-let test_compile_small_kernel () =
+let tiny_result () =
   let dag = Dag.create () in
   let fin = Dag.add_fifo dag ~name:"i" ~dtype:(Dtype.Int 32) ~depth:8 in
   let fout = Dag.add_fifo dag ~name:"o" ~dtype:(Dtype.Int 32) ~depth:8 in
@@ -18,13 +18,31 @@ let test_compile_small_kernel () =
   let y = Dag.op dag Op.Add ~dtype:(Dtype.Int 32) [ x; x ] in
   ignore (Dag.fifo_write dag ~fifo:fout ~value:y);
   let k = Kernel.create ~name:"tiny" dag in
-  let r =
-    Flow.compile_kernel ~device:Device.ultrascale_plus ~recipe:Style.original k
-  in
+  Pipeline.run_exn ~recipe:Style.original
+    (Pipeline.of_kernel ~device:Device.ultrascale_plus k)
+
+let test_compile_small_kernel () =
+  let r = tiny_result () in
   Alcotest.(check bool) "reasonable fmax" true
-    (r.Flow.fr_fmax_mhz > 100. && r.Flow.fr_fmax_mhz < 1500.);
+    (r.Pipeline.fr_fmax_mhz > 100. && r.Pipeline.fr_fmax_mhz < 1500.);
   Alcotest.(check bool) "critical consistent" true
-    (abs_float ((1000. /. r.Flow.fr_critical_ns) -. r.Flow.fr_fmax_mhz) < 1e-6)
+    (abs_float ((1000. /. r.Pipeline.fr_critical_ns) -. r.Pipeline.fr_fmax_mhz)
+    < 1e-6)
+
+(* The paper's "Diff" column: a degenerate baseline (zero, negative or
+   non-finite Fmax) reports no gain instead of inf/nan. *)
+let test_improvement_pct_guard () =
+  let r = tiny_result () in
+  let at mhz = { r with Pipeline.fr_fmax_mhz = mhz } in
+  List.iter
+    (fun base ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "baseline %g" base)
+        0.
+        (Pipeline.improvement_pct ~orig:(at base) ~opt:(at 250.)))
+    [ 0.; -100.; nan; infinity ];
+  Alcotest.(check (float 1e-9)) "200 -> 250 MHz" 25.
+    (Pipeline.improvement_pct ~orig:(at 200.) ~opt:(at 250.))
 
 (* The headline: on every Table-1 benchmark, the optimized flow is at
    least as fast as the original, and strictly faster overall. *)
@@ -32,9 +50,10 @@ let test_optimization_improves_every_benchmark () =
   let gains =
     List.map
       (fun (s : Hlsb_designs.Spec.t) ->
-        let orig = Flow.compile_spec ~recipe:Style.original s in
-        let opt = Flow.compile_spec ~recipe:Style.optimized s in
-        let gain = Flow.improvement_pct ~orig ~opt in
+        let session = Pipeline.of_spec s in
+        let orig = Pipeline.run_exn session ~recipe:Style.original in
+        let opt = Pipeline.run_exn session ~recipe:Style.optimized in
+        let gain = Pipeline.improvement_pct ~orig ~opt in
         Alcotest.(check bool)
           (s.Hlsb_designs.Spec.sp_name ^ " not worse")
           true (gain > -5.);
@@ -66,11 +85,11 @@ let test_classify_hbm_sync () =
 
 let test_classify_netlist_summary () =
   let r =
-    Flow.compile_spec ~recipe:Style.original
-      (Option.get (Hlsb_designs.Suite.find "Stream Buffer"))
+    Pipeline.run_exn ~recipe:Style.original
+      (Pipeline.of_spec (Option.get (Hlsb_designs.Suite.find "Stream Buffer")))
   in
   let summary =
-    Classify.netlist_summary r.Flow.fr_design.Hlsb_rtlgen.Design.netlist
+    Classify.netlist_summary r.Pipeline.fr_design.Hlsb_rtlgen.Design.netlist
   in
   let ctrl_pipe =
     List.find_map
@@ -141,20 +160,20 @@ let test_table2_driver () =
   match rows with
   | [ stall; skid; minarea ] ->
     Alcotest.(check bool) "skid faster than stall" true
-      (skid.Experiments.vr_result.Flow.fr_fmax_mhz
-      > stall.Experiments.vr_result.Flow.fr_fmax_mhz);
+      (skid.Experiments.vr_result.Pipeline.fr_fmax_mhz
+      > stall.Experiments.vr_result.Pipeline.fr_fmax_mhz);
     (* min-area buffers hold no more bits than the plain end-of-pipe skid *)
-    let skid_bits (r : Flow.result) =
+    let skid_bits (r : Pipeline.result) =
       List.fold_left
         (fun acc k -> acc + k.Hlsb_rtlgen.Design.ki_skid_bits)
-        0 r.Flow.fr_design.Hlsb_rtlgen.Design.kernels
+        0 r.Pipeline.fr_design.Hlsb_rtlgen.Design.kernels
     in
     Alcotest.(check bool) "min-area fewer buffer bits" true
       (skid_bits minarea.Experiments.vr_result
       <= skid_bits skid.Experiments.vr_result);
     Alcotest.(check bool) "min-area keeps the speed" true
-      (minarea.Experiments.vr_result.Flow.fr_fmax_mhz
-      > 0.9 *. skid.Experiments.vr_result.Flow.fr_fmax_mhz)
+      (minarea.Experiments.vr_result.Pipeline.fr_fmax_mhz
+      > 0.9 *. skid.Experiments.vr_result.Pipeline.fr_fmax_mhz)
   | _ -> Alcotest.fail "three rows"
 
 let test_fig15_driver_small () =
@@ -176,14 +195,14 @@ let test_fig15_driver_small () =
 (* Bit-level projection of a compile result: the headline numbers plus the
    full STA arrival array, so any divergence in the numeric pipeline — not
    just in the summary — fails the comparison. *)
-let result_fingerprint (r : Flow.result) =
-  ( r.Flow.fr_fmax_mhz,
-    r.Flow.fr_critical_ns,
-    r.Flow.fr_lut_pct,
-    r.Flow.fr_ff_pct,
-    r.Flow.fr_bram_pct,
-    r.Flow.fr_dsp_pct,
-    r.Flow.fr_timing.Hlsb_physical.Timing.arrivals )
+let result_fingerprint (r : Pipeline.result) =
+  ( r.Pipeline.fr_fmax_mhz,
+    r.Pipeline.fr_critical_ns,
+    r.Pipeline.fr_lut_pct,
+    r.Pipeline.fr_ff_pct,
+    r.Pipeline.fr_bram_pct,
+    r.Pipeline.fr_dsp_pct,
+    r.Pipeline.fr_timing.Hlsb_physical.Timing.arrivals )
 
 let prop_table1_jobs_deterministic =
   (* The PR-4 acceptance bar for the pool: fanning the Table-1 benchmarks
@@ -217,6 +236,8 @@ let prop_table1_jobs_deterministic =
 let suite =
   [
     Alcotest.test_case "compile small kernel" `Quick test_compile_small_kernel;
+    Alcotest.test_case "improvement_pct degenerate baseline" `Quick
+      test_improvement_pct_guard;
     Alcotest.test_case "classification genome" `Quick test_classify_genome;
     Alcotest.test_case "classification hbm" `Quick test_classify_hbm_sync;
     Alcotest.test_case "classification netlist" `Quick test_classify_netlist_summary;

@@ -8,6 +8,17 @@ module Device = Hlsb_device.Device
 module Netlist = Hlsb_netlist.Netlist
 module Design = Hlsb_rtlgen.Design
 module Style = Hlsb_ctrl.Style
+module Pipeline = Core.Pipeline
+
+(* Compile [build ()] on UltraScale+ under the original recipe. *)
+let compile ~name build =
+  Pipeline.run_exn ~recipe:Style.original
+    (Pipeline.create ~device:Device.ultrascale_plus ~name ~build ())
+
+let compile_kernel kernel =
+  (Pipeline.run_exn ~recipe:Style.original
+     (Pipeline.of_kernel ~device:Device.ultrascale_plus kernel))
+    .Pipeline.fr_design
 
 let test_ten_designs () =
   (* the nine Table-1 rows plus the wide-arithmetic modular squarer *)
@@ -47,24 +58,17 @@ let test_genome_lane_scaling () =
     (Dag.n_nodes big.Kernel.dag > 4 * Dag.n_nodes small.Kernel.dag)
 
 let test_stream_buffer_bram_bound () =
-  let df = Hlsb_designs.Stream_buffer.dataflow () in
   let des =
-    Design.generate ~device:Device.ultrascale_plus ~recipe:Style.original
-      ~name:"sb" df
+    (compile ~name:"sb" (fun () -> Hlsb_designs.Stream_buffer.dataflow ()))
+      .Pipeline.fr_design
   in
   let _, _, bram, _ = Netlist.utilization des.Design.netlist Device.ultrascale_plus in
   (* the paper's row: 95% BRAM; ours must be large and below 100% *)
   Alcotest.(check bool) "BRAM-dominated" true (bram > 0.5 && bram <= 1.0)
 
 let test_stencil_depth_scales () =
-  let d1 =
-    Design.single_kernel ~device:Device.ultrascale_plus ~recipe:Style.original
-      (Hlsb_designs.Stencil.kernel ~iterations:1 ())
-  in
-  let d4 =
-    Design.single_kernel ~device:Device.ultrascale_plus ~recipe:Style.original
-      (Hlsb_designs.Stencil.kernel ~iterations:4 ())
-  in
+  let d1 = compile_kernel (Hlsb_designs.Stencil.kernel ~iterations:1 ()) in
+  let d4 = compile_kernel (Hlsb_designs.Stencil.kernel ~iterations:4 ()) in
   let depth (d : Design.t) =
     List.fold_left (fun acc k -> acc + k.Design.ki_depth) 0 d.Design.kernels
   in
@@ -104,16 +108,15 @@ let test_pattern_pe_latencies_differ () =
   Alcotest.(check bool) "heterogeneous latencies" true (List.length lats > 1)
 
 module Bigmul = Hlsb_designs.Bigmul
-module Placement = Hlsb_physical.Placement
 module Timing = Hlsb_physical.Timing
 
+let bigmul_result ~bits ~limb ~lanes =
+  compile
+    ~name:(Printf.sprintf "bm%dx%d" bits lanes)
+    (fun () -> Bigmul.dataflow ~bits ~limb ~lanes ())
+
 let bigmul_netlist ~bits ~limb ~lanes =
-  let des =
-    Design.generate ~device:Device.ultrascale_plus ~recipe:Style.original
-      ~name:(Printf.sprintf "bm%dx%d" bits lanes)
-      (Bigmul.dataflow ~bits ~limb ~lanes ())
-  in
-  des.Design.netlist
+  (bigmul_result ~bits ~limb ~lanes).Pipeline.fr_design.Design.netlist
 
 let test_bigmul_deterministic () =
   (* same parameters => byte-identical netlist, at any job count *)
@@ -160,27 +163,30 @@ let test_bigmul_scaling () =
 
 let test_bigmul_100k_smoke () =
   (* the acceptance point: a >=100k-cell netlist goes through place + STA *)
-  let nl = bigmul_netlist ~bits:420 ~limb:7 ~lanes:2 in
+  let r = bigmul_result ~bits:420 ~limb:7 ~lanes:2 in
+  let nl = r.Pipeline.fr_design.Design.netlist in
   Alcotest.(check bool) "past 100k cells" true (Netlist.n_cells nl >= 100_000);
-  let pl = Placement.place Device.ultrascale_plus nl in
-  let r = Timing.analyze Device.ultrascale_plus nl pl in
+  let t = r.Pipeline.fr_timing in
   Alcotest.(check bool) "finite critical path" true
-    (r.Timing.critical_ns > 0. && r.Timing.fmax_mhz > 0.)
+    (t.Timing.critical_ns > 0. && t.Timing.fmax_mhz > 0.)
 
 let test_all_fit_their_devices () =
   (* the expensive end-to-end check: both recipes of every benchmark
-     place successfully on the paper's device *)
+     lower to a valid netlist, place on the paper's device and time to a
+     finite, positive Fmax *)
   List.iter
     (fun (s : Spec.t) ->
+      let session = Pipeline.of_spec s in
       List.iter
         (fun recipe ->
-          let des =
-            Design.generate ~device:s.Spec.sp_device ~recipe
-              ~name:s.Spec.sp_name (s.Spec.sp_build ())
-          in
-          match Netlist.validate des.Design.netlist with
+          let r = Pipeline.run_exn session ~recipe in
+          let what = r.Pipeline.fr_label in
+          (match Netlist.validate r.Pipeline.fr_design.Design.netlist with
           | Ok () -> ()
-          | Error e -> Alcotest.fail (s.Spec.sp_name ^ ": " ^ e))
+          | Error e -> Alcotest.fail (what ^ ": " ^ e));
+          let fmax = r.Pipeline.fr_fmax_mhz in
+          if not (Float.is_finite fmax && fmax > 0.) then
+            Alcotest.failf "%s: Fmax %g MHz" what fmax)
         [ Style.original; Style.optimized ])
     Suite.all
 

@@ -9,6 +9,7 @@ module Lower = Hlsb_rtlgen.Lower
 module Design = Hlsb_rtlgen.Design
 module Style = Hlsb_ctrl.Style
 module Device = Hlsb_device.Device
+module Pipeline = Core.Pipeline
 
 let dev = Device.ultrascale_plus
 let i32 = Dtype.Int 32
@@ -159,9 +160,19 @@ let two_kernel_df () =
   Dataflow.add_sync_group df [ pa; pb ];
   df
 
-let test_design_generate () =
+(* Compile a dataflow network through the pipeline, raising the stage's
+   [Diag.Diagnostic] on failure. *)
+let compile ~recipe ~name df =
+  Pipeline.run_exn ~recipe
+    (Pipeline.create ~device:dev ~name ~build:(fun () -> df) ())
+
+let compile_kernel ~recipe kernel =
+  Pipeline.run_exn ~recipe (Pipeline.of_kernel ~device:dev kernel)
+
+let test_two_kernel_design () =
   let des =
-    Design.generate ~device:dev ~recipe:Style.original ~name:"two" (two_kernel_df ())
+    (compile ~recipe:Style.original ~name:"two" (two_kernel_df ()))
+      .Pipeline.fr_design
   in
   (match Netlist.validate des.Design.netlist with
   | Ok () -> ()
@@ -171,7 +182,8 @@ let test_design_generate () =
 
 let test_design_channel_wired () =
   let des =
-    Design.generate ~device:dev ~recipe:Style.original ~name:"two" (two_kernel_df ())
+    (compile ~recipe:Style.original ~name:"two" (two_kernel_df ()))
+      .Pipeline.fr_design
   in
   let found = ref false in
   Netlist.iter_nets des.Design.netlist (fun _ n ->
@@ -186,7 +198,7 @@ let test_design_missing_fifo_rejected () =
     (Dataflow.add_channel df ~name:"nonexistent" ~src:pa ~dst:(-1) ~dtype:i32 ());
   (* the diagnostic must survive with its structure intact (stage +
      offending entity), not be flattened into an Invalid_argument string *)
-  match Design.generate ~device:dev ~recipe:Style.original ~name:"x" df with
+  match compile ~recipe:Style.original ~name:"x" df with
   | _ -> Alcotest.fail "bad channel accepted"
   | exception Hlsb_util.Diag.Diagnostic d ->
     Alcotest.(check string) "stage" "lower" d.Hlsb_util.Diag.d_stage;
@@ -198,12 +210,14 @@ let test_design_missing_fifo_rejected () =
 let test_design_sync_pruned_uses_latency () =
   (* pruned sync reduces the done-reduce inputs *)
   let naive =
-    Design.generate ~device:dev ~recipe:Style.original ~name:"n" (two_kernel_df ())
+    (compile ~recipe:Style.original ~name:"n" (two_kernel_df ()))
+      .Pipeline.fr_design
   in
   let pruned =
-    Design.generate ~device:dev
-      ~recipe:{ Style.original with Style.sync = Style.Sync_pruned }
-      ~name:"p" (two_kernel_df ())
+    (compile
+       ~recipe:{ Style.original with Style.sync = Style.Sync_pruned }
+       ~name:"p" (two_kernel_df ()))
+      .Pipeline.fr_design
   in
   let count_sync_nets (d : Design.t) =
     let c = ref 0 in
@@ -214,9 +228,10 @@ let test_design_sync_pruned_uses_latency () =
   Alcotest.(check bool) "pruned has fewer sync nets" true
     (count_sync_nets pruned <= count_sync_nets naive)
 
-let test_single_kernel_wrapper () =
+let test_single_kernel_session () =
   let des =
-    Design.single_kernel ~device:dev ~recipe:Style.optimized (streaming_kernel "solo")
+    (compile_kernel ~recipe:Style.optimized (streaming_kernel "solo"))
+      .Pipeline.fr_design
   in
   Alcotest.(check int) "one kernel" 1 (List.length des.Design.kernels);
   match Netlist.validate des.Design.netlist with
@@ -235,11 +250,11 @@ let suite =
       test_registers_added_accounting;
     Alcotest.test_case "depth matches schedule" `Quick test_depth_matches_schedule;
     Alcotest.test_case "fifo interfaces" `Quick test_fifo_interfaces_reported;
-    Alcotest.test_case "design generate" `Quick test_design_generate;
+    Alcotest.test_case "design generate" `Quick test_two_kernel_design;
     Alcotest.test_case "design channel wired" `Quick test_design_channel_wired;
     Alcotest.test_case "missing fifo rejected" `Quick test_design_missing_fifo_rejected;
     Alcotest.test_case "sync pruned smaller" `Quick test_design_sync_pruned_uses_latency;
-    Alcotest.test_case "single kernel wrapper" `Quick test_single_kernel_wrapper;
+    Alcotest.test_case "single kernel wrapper" `Quick test_single_kernel_session;
   ]
 
 (* ---- end-to-end fuzz: random kernels survive the whole flow ---- *)
@@ -303,15 +318,11 @@ let prop_flow_fuzz =
       let recipe =
         if optimized then Style.optimized else Style.original
       in
-      let des =
-        Design.single_kernel ~device:dev ~recipe (random_kernel seed)
-      in
-      (match Netlist.validate des.Design.netlist with
+      let r = compile_kernel ~recipe (random_kernel seed) in
+      (match Netlist.validate r.Pipeline.fr_design.Design.netlist with
       | Ok () -> ()
       | Error e -> QCheck.Test.fail_reportf "invalid netlist: %s" e);
-      let r = Hlsb_physical.Timing.run dev des.Design.netlist in
-      r.Hlsb_physical.Timing.fmax_mhz > 10.
-      && r.Hlsb_physical.Timing.fmax_mhz < 2000.)
+      r.Pipeline.fr_fmax_mhz > 10. && r.Pipeline.fr_fmax_mhz < 2000.)
 
 let prop_opt_never_much_worse =
   QCheck.Test.make ~count:15
@@ -319,8 +330,7 @@ let prop_opt_never_much_worse =
     QCheck.small_nat
     (fun seed ->
       let fmax recipe =
-        let des = Design.single_kernel ~device:dev ~recipe (random_kernel seed) in
-        (Hlsb_physical.Timing.run dev des.Design.netlist).Hlsb_physical.Timing.fmax_mhz
+        (compile_kernel ~recipe (random_kernel seed)).Pipeline.fr_fmax_mhz
       in
       fmax Style.optimized >= 0.75 *. fmax Style.original)
 
