@@ -161,6 +161,9 @@ type stage_record = {
 }
 
 type compiled = {
+  co_base : string;  (** [compile_key] without the tuning suffix *)
+  co_label : string;
+  co_scheds : Schedule.t option array;  (** the schedules it lowered *)
   co_design : Design.t;
   co_placement : Placement.t;
   co_timing : Timing.report;
@@ -283,10 +286,14 @@ let exec t ~recipe stage f =
         | e -> raise e
       in
       t.ss_diags <- d :: t.ss_diags;
-      Log.error
-        ~attrs:
-          [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
-        "stage %s failed: %s" name (Diag.to_string d);
+      (* the caller gets the diagnostic and decides whether it is an
+         error (the CLI) or an expected outcome (a pruned explore
+         config); logging it at error level here would report it twice *)
+      if Log.would_log Log.Debug then
+        Log.debug
+          ~attrs:
+            [ ("stage", Json.Str name); ("design", Json.Str t.ss_name) ]
+          "stage %s failed: %s" name (Diag.to_string d);
       raise (Diag.Diagnostic d)
   in
   if not (Trace.enabled ()) then body ()
@@ -490,6 +497,71 @@ let compile_key ~netlist_name ~plan ~tuning recipe =
   ^ (match plan_key plan with "" -> "" | k -> "|" ^ k)
   ^ match tuning with "" -> "" | k -> "|" ^ k
 
+(* Per-process [Schedule.same_lowering]: equal schedule arrays lower,
+   sync, place and time to the same bytes (the netlist name and so the
+   placement and timing seeds are in the compile key). *)
+let same_lowering (a : Schedule.t option array) (b : Schedule.t option array) =
+  let n = Array.length a in
+  Int.equal n (Array.length b)
+  &&
+  let same = ref true and p = ref 0 in
+  while !same && !p < n do
+    (same :=
+       match (a.(!p), b.(!p)) with
+       | None, None -> true
+       | Some x, Some y -> Schedule.same_lowering x y
+       | Some _, None | None, Some _ -> false);
+    incr p
+  done;
+  !same
+
+(* The lower..report stages over one set of schedules. *)
+let build t ~recipe ~base ~label ~netlist_name df scheds =
+  let dp =
+    exec t ~recipe Lower (fun () ->
+      Design.lower_processes ~device:t.ss_device ~recipe ~name:netlist_name df
+        scheds)
+  in
+  let design =
+    exec t ~recipe Sync (fun () ->
+      Design.emit_sync ~device:t.ss_device ~recipe df dp)
+  in
+  let placement =
+    exec t ~recipe Place (fun () ->
+      Placement.place t.ss_device design.Design.netlist)
+  in
+  let timing =
+    exec t ~recipe Sta (fun () ->
+      let r = Timing.analyze t.ss_device design.Design.netlist placement in
+      Metrics.incr "timing.runs";
+      Metrics.set_gauge "timing.critical_ns" r.Timing.critical_ns;
+      r)
+  in
+  let result =
+    exec t ~recipe Report (fun () -> finish ~name:label design timing)
+  in
+  {
+    co_base = base;
+    co_label = label;
+    co_scheds = scheds;
+    co_design = design;
+    co_placement = placement;
+    co_timing = timing;
+    co_result = result;
+  }
+
+(* A compile this session already built under the same recipe, label,
+   netlist name and plan from lowering-equivalent schedules. *)
+let rec find_equivalent ~base ~label scheds = function
+  | [] -> None
+  | (_, c) :: rest ->
+    if
+      String.equal c.co_base base
+      && String.equal c.co_label label
+      && same_lowering c.co_scheds scheds
+    then Some c
+    else find_equivalent ~base ~label scheds rest
+
 let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
   t.ss_last <- [];
   let label, netlist_name = effective_names ?name t ~recipe in
@@ -508,38 +580,15 @@ let compiled_exn ?name ?(plan = Plan.identity) ?target_mhz ?inject t ~recipe =
       let df = elaborate ~plan t ~recipe in
       record_broadcast_gauges df;
       let scheds = scheduled ~plan ?target_mhz ?inject t ~recipe df in
-      let dp =
-        exec t ~recipe Lower (fun () ->
-          Design.lower_processes ~device:t.ss_device ~recipe ~name:netlist_name
-            df scheds)
-      in
-      let design =
-        exec t ~recipe Sync (fun () ->
-          Design.emit_sync ~device:t.ss_device ~recipe df dp)
-      in
-      let placement =
-        exec t ~recipe Place (fun () ->
-          Placement.place t.ss_device design.Design.netlist)
-      in
-      let timing =
-        exec t ~recipe Sta (fun () ->
-          let r =
-            Timing.analyze t.ss_device design.Design.netlist placement
-          in
-          Metrics.incr "timing.runs";
-          Metrics.set_gauge "timing.critical_ns" r.Timing.critical_ns;
-          r)
-      in
-      let result =
-        exec t ~recipe Report (fun () -> finish ~name:label design timing)
-      in
+      let base = compile_key ~netlist_name ~plan ~tuning:"" recipe in
       let c =
-        {
-          co_design = design;
-          co_placement = placement;
-          co_timing = timing;
-          co_result = result;
-        }
+        match find_equivalent ~base ~label scheds t.ss_compiled with
+        | Some c ->
+          (* a retarget whose schedules lower to a design this session
+             already built: the new key shares that compile *)
+          List.iter (cached t) [ Lower; Sync; Place; Sta; Report ];
+          c
+        | None -> build t ~recipe ~base ~label ~netlist_name df scheds
       in
       t.ss_compiled <- (key, c) :: t.ss_compiled;
       c

@@ -67,6 +67,11 @@ val result_to_json : result -> Hlsb_telemetry.Json.t
     per-kernel depth/registers/skid bits) — the payload of
     [hlsbc compile --json] and [hlsbc profile]. *)
 
+val timing_to_json : Hlsb_physical.Timing.report -> Hlsb_telemetry.Json.t
+(** The timing report (critical ns, Fmax, worst net fanout, critical
+    path with cell names) as JSON — the payload of
+    [hlsbc compile --dump-after sta]. *)
+
 val summary : result -> string
 (** One line: label, Fmax, critical path and utilization percentages. *)
 
@@ -159,8 +164,21 @@ val run :
     widest-read values ({!Hlsb_sched.Schedule.inject}) — the explorer's
     two tuning axes. Both join the schedule and compile cache keys, and
     both default to [None], under which every key is byte-identical to
-    an untuned run. No [Invalid_argument] or [Failure] escapes:
-    malformed inputs surface as [Error d] with stage and entity names. *)
+    an untuned run.
+
+    A retarget often changes no schedule field that lowering reads.
+    When a run's schedules are {!Hlsb_sched.Schedule.same_lowering}
+    (per process) to those of a compile the session already holds under
+    the same recipe, label, netlist name and plan, the run reuses that
+    compile's design, placement, timing report and result: they are
+    byte-identical by construction, since the netlist name (and so the
+    placement and timing seeds) is part of that match. The run is filed
+    under its own key as well, so {!cache_key} and the daemon's store
+    keys are unchanged.
+
+    No [Invalid_argument] or [Failure] escapes: malformed inputs surface
+    as [Error d] with stage and entity names. A failed stage is logged
+    at debug level only; reporting the diagnostic is the caller's job. *)
 
 val run_exn :
   ?name:string ->
@@ -183,7 +201,9 @@ val classify_report : ?plan:Hlsb_transform.Plan.t -> session -> Classify.report
 val stage_runs : session -> (string * int) list
 (** Stage name -> number of times its body actually executed over the
     session's lifetime (cache hits do not count), sorted by stage order.
-    The two-recipe-session test asserts [elaborate = 1] here. *)
+    The two-recipe-session test asserts [elaborate = 1] here. A compile
+    that reuses a lowering-equivalent design (see {!run}) counts its
+    [schedule] run only: [lower] through [report] did not execute. *)
 
 type status = Ran | Cached | Skipped | Failed
 
@@ -203,7 +223,8 @@ val status_label : status -> string
 val last_run : session -> stage_record list
 (** Stage records of the most recent {!run}, in stage order. Stages the
     run never reached (or that only run on demand, like [classify]) are
-    reported [Skipped]. *)
+    reported [Skipped]. A run that reused a lowering-equivalent design
+    reports [lower], [sync], [place], [sta] and [report] as [Cached]. *)
 
 val explain : session -> string
 (** Per-stage table of the last run (status, time, allocation) followed by any

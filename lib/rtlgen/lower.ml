@@ -31,6 +31,12 @@ type slot = {
 
 let big_fanout = 8
 
+(* Reads of the schedule here (and in the skid plan and
+   [Sched_report.stage_widths] below) are limited to [kernel], [depth]
+   and each entry's [e_cycle], [e_latency], [e_added_pipe] and
+   [e_bcast_levels]: [Schedule.same_lowering] compares exactly those,
+   and the pipeline reuses a compiled design whenever it holds. Any new
+   schedule field read here must join [same_lowering]. *)
 let lower_body (d : Device.t) nl ~pipe ~fanout_trees (sched : Schedule.t) =
   let k = sched.Schedule.kernel in
   let dag = k.Kernel.dag in

@@ -364,3 +364,23 @@ let registers_inserted t =
   Array.fold_left
     (fun acc e -> acc + e.e_added_pipe + e.e_bcast_levels)
     0 t.entries
+
+let same_lowering a b =
+  a.kernel == b.kernel
+  && Int.equal a.depth b.depth
+  &&
+  let ea = a.entries and eb = b.entries in
+  let n = Array.length ea in
+  Int.equal n (Array.length eb)
+  &&
+  let same = ref true and v = ref 0 in
+  while !same && !v < n do
+    let x = ea.(!v) and y = eb.(!v) in
+    same :=
+      Int.equal x.e_cycle y.e_cycle
+      && Int.equal x.e_latency y.e_latency
+      && Int.equal x.e_added_pipe y.e_added_pipe
+      && Int.equal x.e_bcast_levels y.e_bcast_levels;
+    incr v
+  done;
+  !same

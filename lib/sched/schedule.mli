@@ -78,3 +78,14 @@ val same_cycle_factor : t -> Dag.node -> int
 val registers_inserted : t -> int
 (** Total added pipeline stages (the §4.1 register modules), for overhead
     reporting ("pipeline length 9 -> 10" in §5.2). *)
+
+val same_lowering : t -> t -> bool
+(** True when the two schedules lower to the same netlist: the same
+    kernel (physically), the same [depth], and per node the same
+    [e_cycle], [e_latency], [e_added_pipe] and [e_bcast_levels]. Those
+    are the only schedule fields the netlist depends on —
+    [Hlsb_rtlgen.Lower.lower_body], the skid-buffer plan and
+    [Hlsb_sched.Report.stage_widths] read nothing else — so [e_start],
+    [e_delay], [e_factor], [target_ns] and [mode_label] may differ.
+    Allocates nothing. A new field that lowering reads must join this
+    check. *)

@@ -16,6 +16,9 @@ module Netlist = Hlsb_netlist.Netlist
 module Timing = Hlsb_physical.Timing
 module Diag = Hlsb_util.Diag
 module Spec = Hlsb_designs.Spec
+module Json = Hlsb_telemetry.Json
+module Log = Hlsb_obs.Log
+module Explore = Hlsb_explore.Explore
 
 let contains_sub ~sub s =
   let n = String.length s and m = String.length sub in
@@ -120,6 +123,72 @@ let test_session_shares_stages () =
   in
   Alcotest.(check bool) "last_run reports cached stages" true
     (List.length cached_stages >= 4)
+
+(* A retarget whose schedules lower to a design the session already
+   built reuses that compile. The oracle: over a dense target sweep
+   under both recipes, plus every explorer injection at three targets,
+   each shared-session compile renders the same result and timing bytes
+   as a fresh session at the same (recipe, target, injection) — and at
+   least one compile really was reused, with lower..report cached. *)
+let compile_bytes (r : Pipeline.result) =
+  Json.to_string (Pipeline.result_to_json r)
+  ^ Json.to_string (Pipeline.timing_to_json r.Pipeline.fr_timing)
+
+let test_retarget_reuse_oracle () =
+  let injections =
+    List.filter_map (fun cf -> cf.Explore.cf_inject) (Explore.space ~plans:[])
+  in
+  let reused_stages = [ "lower"; "sync"; "place"; "sta"; "report" ] in
+  List.iter
+    (fun name ->
+      let spec = Option.get (Hlsb_designs.Suite.find name) in
+      let shared = Pipeline.of_spec spec in
+      let compiles = ref 0 in
+      let check ?inject ~recipe target =
+        let lowers = runs_of shared "lower" in
+        let r = Pipeline.run_exn shared ?inject ~target_mhz:target ~recipe in
+        incr compiles;
+        if runs_of shared "lower" = lowers then
+          List.iter
+            (fun (sr : Pipeline.stage_record) ->
+              let stage = Pipeline.stage_name sr.Pipeline.sr_stage in
+              if List.mem stage reused_stages then
+                Alcotest.(check string)
+                  (Printf.sprintf "%s @%g: %s reused" name target stage)
+                  "cached"
+                  (Pipeline.status_label sr.Pipeline.sr_status))
+            (Pipeline.last_run shared);
+        let fresh =
+          Pipeline.run_exn (Pipeline.of_spec spec) ?inject ~target_mhz:target
+            ~recipe
+        in
+        if compile_bytes r <> compile_bytes fresh then
+          Alcotest.failf "%s [%s] @%g MHz%s: shared session differs from fresh"
+            name (Style.label recipe) target
+            (match inject with
+            | None -> ""
+            | Some i ->
+              Printf.sprintf " +inj%dx%d" i.Hlsb_sched.Schedule.inj_top
+                i.Hlsb_sched.Schedule.inj_levels)
+      in
+      List.iter
+        (fun recipe ->
+          for i = 0 to 40 do
+            check ~recipe (200. +. (10. *. float_of_int i))
+          done)
+        [ Style.optimized; Style.original ];
+      List.iter
+        (fun inject ->
+          List.iter
+            (fun target -> check ~inject ~recipe:Style.optimized target)
+            [ 300.; 390.; 480. ])
+        injections;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d lowers for %d compiles" name
+           (runs_of shared "lower") !compiles)
+        true
+        (runs_of shared "lower" < !compiles))
+    [ "Vector Arithmetic"; "Stencil"; "Pattern Matching" ]
 
 (* qcheck: whatever order recipes are compiled in, and however often
    they repeat, a shared session's cached-artifact reuse never changes
@@ -243,6 +312,37 @@ let test_run_exn_raises_diag () =
   expect_diag "orphan" ~stage:"elaborate" (orphan_process_df ());
   expect_diag "fifo-mismatch" ~stage:"lower" (fifo_mismatch_df ())
 
+(* A failed stage raises its diagnostic to the caller, which reports it
+   (the CLI) or treats it as an outcome (a pruned explore config): the
+   pipeline itself logs it at debug level only, with the stage and
+   design attributes, so the CLI does not print the error twice. *)
+let test_failed_run_logs_no_error () =
+  T_obs.with_captured_log (fun lines ->
+    Log.set_level Log.Debug;
+    Log.set_format Log.Jsonl;
+    (match run_small (orphan_process_df ()) Style.original with
+    | Ok _ -> Alcotest.fail "orphan-process design compiled"
+    | Error _ -> ());
+    let records =
+      List.map
+        (fun l ->
+          match Json.of_string l with
+          | Ok j -> j
+          | Error e -> Alcotest.fail e)
+        !lines
+    in
+    Alcotest.(check bool) "nothing at error level" false
+      (List.exists
+         (fun j -> Json.member "level" j = Some (Json.Str "error"))
+         records);
+    Alcotest.(check bool) "failure kept at debug, with its stage" true
+      (List.exists
+         (fun j ->
+           Json.member "level" j = Some (Json.Str "debug")
+           && Json.member "stage" j = Some (Json.Str "elaborate")
+           && Json.member "design" j = Some (Json.Str "bad"))
+         records))
+
 (* Dumps and explain render for every stage without touching disk. *)
 let test_dump_and_explain () =
   let session = small_session () in
@@ -289,6 +389,10 @@ let suite =
       test_run_exn_raises_diag;
     Alcotest.test_case "dump-after + explain render" `Quick
       test_dump_and_explain;
+    Alcotest.test_case "failed run logs no error" `Quick
+      test_failed_run_logs_no_error;
+    Alcotest.test_case "retarget reuse = fresh compile" `Slow
+      test_retarget_reuse_oracle;
     Alcotest.test_case "shared = fresh on all Table-1 specs" `Slow
       test_shared_equals_fresh;
     QCheck_alcotest.to_alcotest prop_cached_reuse_stable;

@@ -165,6 +165,51 @@ let test_violations_baseline_vs_aware () =
   Alcotest.(check (list (pair int (float 0.001)))) "aware is clean" []
     (Report.violations c sa)
 
+(* [same_lowering] compares exactly the fields lowering reads: it holds
+   for a schedule and itself, ignores the chain offsets, budgeted
+   delays, lookup factors and target, and fails on any change to a
+   cycle, a distribution level, the depth or the kernel. *)
+let test_same_lowering () =
+  let k = broadcast_kernel 32 in
+  let s = Schedule.run (aware ()) k in
+  let with_entry v f =
+    let entries = Array.copy s.Schedule.entries in
+    entries.(v) <- f entries.(v);
+    { s with Schedule.entries }
+  in
+  let v = 3 in
+  Alcotest.(check bool) "reflexive" true (Schedule.same_lowering s s);
+  Alcotest.(check bool) "equal to a rerun at the same target" true
+    (Schedule.same_lowering s (Schedule.run (aware ()) k));
+  let ignored =
+    {
+      (with_entry v (fun e ->
+         {
+           e with
+           Schedule.e_start = e.Schedule.e_start +. 0.5;
+           e_delay = e.Schedule.e_delay +. 0.25;
+           e_factor = e.Schedule.e_factor + 7;
+         }))
+      with
+      Schedule.target_ns = s.Schedule.target_ns /. 2.;
+    }
+  in
+  Alcotest.(check bool) "ignores e_start/e_delay/e_factor/target_ns" true
+    (Schedule.same_lowering s ignored);
+  Alcotest.(check bool) "one e_cycle differs" false
+    (Schedule.same_lowering s
+       (with_entry v (fun e -> { e with Schedule.e_cycle = e.Schedule.e_cycle + 1 })));
+  Alcotest.(check bool) "one e_bcast_levels differs" false
+    (Schedule.same_lowering s
+       (with_entry v (fun e ->
+          { e with Schedule.e_bcast_levels = e.Schedule.e_bcast_levels + 1 })));
+  Alcotest.(check bool) "depth differs" false
+    (Schedule.same_lowering s { s with Schedule.depth = s.Schedule.depth + 1 });
+  (* an equal-shaped kernel that is a different value *)
+  let s' = Schedule.run (aware ()) (broadcast_kernel 32) in
+  Alcotest.(check bool) "other kernel, same shape" false
+    (Schedule.same_lowering s s')
+
 let suite =
   [
     Alcotest.test_case "deps respected (baseline)" `Quick
@@ -193,4 +238,5 @@ let suite =
     Alcotest.test_case "chain delays bounded" `Quick test_chain_delays_bounded;
     Alcotest.test_case "violations baseline vs aware" `Quick
       test_violations_baseline_vs_aware;
+    Alcotest.test_case "same_lowering fields" `Quick test_same_lowering;
   ]
